@@ -1,20 +1,13 @@
 // Fault-plane overhead proof: replays the same campus trace through the
-// batched router datapath with the health monitor disarmed (the default:
-// exactly what a build with UPBOUND_FAULTS=OFF executes) and with it
-// armed but healthy, and reports the relative cost. The disarmed path is
-// the one the acceptance budget protects: the fault plane must add <1%
-// to bench_batch_datapath when off. Exits nonzero when
-// --max-overhead-pct is exceeded so CI can gate on it.
+// batched router datapath with the health monitor disarmed (the default)
+// and with it armed but healthy, and reports the relative cost. Exits
+// nonzero when --max-overhead-pct is exceeded so CI can gate on it.
 //
 // Usage:
 //   bench_fault_overhead [--smoke] [--max-overhead-pct P]
 //
-// --smoke shrinks the workload for CI. The default threshold encodes the
-// acceptance budget: 1% when the fault plane is compiled out
-// (UPBOUND_FAULTS=OFF -- the monitor can never engage, both
-// configurations run the same machine code, and the tool reports ~0% by
-// construction), and a looser 5% in the default build, where the armed
-// monitor's occupancy sampling legitimately costs a few percent.
+// --smoke shrinks the workload for CI. The default threshold is 5%: the
+// armed monitor's occupancy sampling legitimately costs a few percent.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -22,7 +15,6 @@
 #include <cstring>
 #include <vector>
 
-#include "fault/fault_injector.h"
 #include "filter/bitmap_filter.h"
 #include "filter/filter_registry.h"
 #include "sim/edge_router.h"
@@ -87,7 +79,7 @@ void best_of_pair(const GeneratedTrace& trace, int rounds, double* off_sec,
 
 int run(int argc, char** argv) {
   bool smoke = false;
-  double max_overhead_pct = kFaultsCompiled ? 5.0 : 1.0;
+  double max_overhead_pct = 5.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -103,9 +95,8 @@ int run(int argc, char** argv) {
 
   const GeneratedTrace trace = make_trace(smoke);
   const int rounds = smoke ? 5 : 9;
-  std::printf("fault-plane overhead: %zu packets, best of %d replays%s\n",
-              trace.packets.size(), rounds,
-              kFaultsCompiled ? "" : " (fault plane compiled OUT)");
+  std::printf("fault-plane overhead: %zu packets, best of %d replays\n",
+              trace.packets.size(), rounds);
 
   // Warm-up: touch every allocation and fault in the trace.
   replay_once(trace, false);
@@ -122,11 +113,6 @@ int run(int argc, char** argv) {
               on_sec * 1e9 / packets);
   std::printf("  overhead: %.2f%% (budget %.2f%%)\n", overhead_pct,
               max_overhead_pct);
-
-  if (!kFaultsCompiled) {
-    std::printf("note: UPBOUND_FAULTS=OFF -- the monitor cannot engage; "
-                "both runs execute identical code.\n");
-  }
 
   if (overhead_pct > max_overhead_pct) {
     std::fprintf(stderr,

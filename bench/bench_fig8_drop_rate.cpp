@@ -39,7 +39,7 @@ std::vector<double> interval_drop_rates(const Trace& trace,
     }
   }
   std::vector<double> rates;
-  for (std::size_t i = 0; i < total.bucket_count(); ++i) {
+  for (std::size_t i = total.first_bucket(); i < total.bucket_count(); ++i) {
     if (total.bucket_value(i) >= 50.0) {
       rates.push_back(dropped.bucket_value(i) / total.bucket_value(i));
     }

@@ -9,9 +9,7 @@
 //   bench_telemetry_overhead [--smoke] [--max-overhead-pct P]
 //
 // --smoke shrinks the workload for CI; the default threshold is 5 (use a
-// looser value on noisy shared runners). When the build has telemetry
-// compiled out (UPBOUND_TELEMETRY=OFF) both configurations run the same
-// machine code, so the tool prints a note and reports ~0% by construction.
+// looser value on noisy shared runners).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -97,9 +95,8 @@ int run(int argc, char** argv) {
 
   const GeneratedTrace trace = make_trace(smoke);
   const int rounds = smoke ? 3 : 5;
-  std::printf("telemetry overhead: %zu packets, best of %d replays%s\n",
-              trace.packets.size(), rounds,
-              kTelemetryCompiled ? "" : " (telemetry compiled OUT)");
+  std::printf("telemetry overhead: %zu packets, best of %d replays\n",
+              trace.packets.size(), rounds);
 
   // Warm-up: touch every allocation and fault in the trace.
   replay_once(trace, false, nullptr);
@@ -117,13 +114,8 @@ int run(int argc, char** argv) {
   std::printf("  overhead: %.2f%% (budget %.2f%%)\n", overhead_pct,
               max_overhead_pct);
 
-  if (!kTelemetryCompiled) {
-    std::printf("note: UPBOUND_TELEMETRY=OFF -- both runs execute identical "
-                "code; the comparison is a no-op by construction.\n");
-  } else {
-    std::printf("\nper-stage latency (timed run):\n%s",
-                report::metrics_table(timed_snapshot).c_str());
-  }
+  std::printf("\nper-stage latency (timed run):\n%s",
+              report::metrics_table(timed_snapshot).c_str());
 
   if (overhead_pct > max_overhead_pct) {
     std::fprintf(stderr, "FAIL: telemetry overhead %.2f%% > budget %.2f%%\n",

@@ -383,11 +383,6 @@ void apply_health_args(const Args& args, EdgeRouterConfig& config) {
     }
     return;
   }
-  if (!kFaultsCompiled) {
-    throw ArgError(
-        "--on-unhealthy requires a build with UPBOUND_FAULTS=ON "
-        "(the fault plane is compiled out of this binary)");
-  }
   if (on_unhealthy == "fail-open") {
     config.health.stance = UnhealthyStance::kFailOpen;
   } else if (on_unhealthy == "fail-closed") {
@@ -672,11 +667,6 @@ int cmd_filter(const Args& args) {
   const std::string fault_spec_text = args.get_string("fault-spec", "");
   std::optional<FaultInjector> fault_injector;
   if (!fault_spec_text.empty()) {
-    if (!kFaultsCompiled) {
-      throw ArgError(
-          "--fault-spec requires a build with UPBOUND_FAULTS=ON "
-          "(the fault plane is compiled out of this binary)");
-    }
     try {
       fault_injector.emplace(FaultSpec::parse(fault_spec_text), config.seed);
     } catch (const std::invalid_argument& e) {
@@ -1358,11 +1348,6 @@ int cmd_live(const Args& args) {
   const std::string fault_spec_text = args.get_string("fault-spec", "");
   std::optional<FaultInjector> fault_injector;
   if (!fault_spec_text.empty()) {
-    if (!kFaultsCompiled) {
-      throw ArgError(
-          "--fault-spec requires a build with UPBOUND_FAULTS=ON "
-          "(the fault plane is compiled out of this binary)");
-    }
     try {
       fault_injector.emplace(FaultSpec::parse(fault_spec_text),
                              config.router.seed);

@@ -12,10 +12,7 @@
 //    shard's local processed-packet count -- a quantity the thread
 //    schedule cannot influence.
 //
-// Everything is off unless a spec is supplied, and the whole plane can be
-// compiled out with UPBOUND_FAULTS=OFF (mirrors UPBOUND_TELEMETRY):
-// kFaultsCompiled folds to false and the replay engine's injection hooks
-// disappear at compile time.
+// Everything is off unless a spec is supplied.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +24,6 @@
 #include "net/packet.h"
 
 namespace upbound {
-
-#ifdef UPBOUND_FAULTS_OFF
-inline constexpr bool kFaultsCompiled = false;
-#else
-inline constexpr bool kFaultsCompiled = true;
-#endif
 
 /// "this trigger never fires" sentinel for packet-count trigger points.
 inline constexpr std::uint64_t kFaultNever =

@@ -35,6 +35,14 @@ std::uint64_t read_u64le(ByteReader& r) {
   return lo | (hi << 32);
 }
 
+/// |a - b| in microseconds. Stamps read from a damaged snapshot may hold
+/// any int64, where a signed difference would overflow.
+std::uint64_t usec_apart(SimTime a, SimTime b) {
+  const auto ua = static_cast<std::uint64_t>(a.usec());
+  const auto ub = static_cast<std::uint64_t>(b.usec());
+  return a < b ? ub - ua : ua - ub;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> snapshot_bitmap_filter(const BitmapFilter& filter,
@@ -145,8 +153,8 @@ BitmapRestoreResult restore_bitmap_filter_checked(
     // the snapshot time; anything further off is corruption, and a value
     // far in the past would wedge the first advance_time() in a
     // one-rotate-per-dt loop across the whole gap.
-    if (next_rotation < snapshot_time - config.expiry_timer() ||
-        next_rotation > snapshot_time + config.expiry_timer()) {
+    if (usec_apart(next_rotation, snapshot_time) >
+        static_cast<std::uint64_t>(config.expiry_timer().count_usec())) {
       return fail(SnapshotRestoreError::kBadRotationTime);
     }
     if (now.has_value() && *now - snapshot_time > config.expiry_timer()) {

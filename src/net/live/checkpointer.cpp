@@ -223,7 +223,7 @@ std::string Checkpointer::write_checkpoint() {
   const std::vector<std::uint8_t> snapshot = provider_(meta);
   const std::uint64_t gen = next_gen_;
   std::vector<std::uint8_t> image = encode_checkpoint(gen, meta, snapshot);
-  if (kFaultsCompiled && faults_ != nullptr &&
+  if (faults_ != nullptr &&
       faults_->corrupt_checkpoint(gen) && image.size() > kPayloadOffset) {
     // After the CRC is sealed: the write is crash-consistent but the
     // payload carries one flipped byte, the deterministic stand-in for

@@ -166,7 +166,6 @@ void LiveDatapath::on_capture_readable() {
 }
 
 void LiveDatapath::run_capture_faults() {
-  if constexpr (!kFaultsCompiled) return;
   if (config_.faults == nullptr || !config_.faults->armed()) return;
   const std::uint64_t frames = source_->frames_received();
   if (capture_attached_ &&
@@ -576,8 +575,7 @@ ControlReply LiveDatapath::control_set_unhealthy_stance(UnhealthyStance s) {
   if (!router_->set_unhealthy_stance(s)) {
     return ControlReply::err(
         "unsupported:health",
-        "health monitor not armed (launch with --on-unhealthy on a "
-        "UPBOUND_FAULTS=ON build)");
+        "health monitor not armed (launch with --on-unhealthy)");
   }
   return ControlReply::good(
       s == UnhealthyStance::kFailOpen ? "on-unhealthy=fail-open"

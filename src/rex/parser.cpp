@@ -47,6 +47,12 @@ ByteSet space_set() {
   return set;
 }
 
+// Each group nests four recursive parser frames (and the compiler recurses
+// over the tree again): a depth cap keeps pathological nesting a
+// ParseError instead of a stack overflow, also in sanitizer builds whose
+// frames are several times larger.
+constexpr std::size_t kMaxGroupDepth = 256;
+
 class Parser {
  public:
   Parser(std::string_view pattern, const ParseOptions& options)
@@ -172,6 +178,9 @@ class Parser {
     const char c = take();
     switch (c) {
       case '(': {
+        if (++depth_ > kMaxGroupDepth) {
+          throw ParseError("groups nested too deeply", pos_ - 1);
+        }
         // Accept both "(...)" and the explicit non-capturing "(?:...)";
         // the engine has no captures, so they are identical.
         if (!at_end() && peek() == '?') {
@@ -183,6 +192,7 @@ class Parser {
         }
         NodePtr inner = parse_alternation();
         if (!consume(')')) throw ParseError("unterminated group", pos_);
+        --depth_;
         return inner;
       }
       case ')':
@@ -337,6 +347,7 @@ class Parser {
   std::string_view pattern_;
   ParseOptions options_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open groups around pos_
 };
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "fault/fault_injector.h"  // kFaultsCompiled
 #include "tenant/hierarchical_filter.h"
 
 namespace upbound {
@@ -18,8 +17,6 @@ EdgeRouter::EdgeRouter(EdgeRouterConfig config,
       tenant_table_(config_.tenancy.table),
       blocklist_(config_.blocklist_ttl),
       rng_(config_.seed),
-      passed_out_(config_.series_bucket),
-      passed_in_(config_.series_bucket),
       last_time_(
           SimTime::from_usec(std::numeric_limits<std::int64_t>::min())),
       ctr_classify_outbound_(metrics_.counter("classify.outbound_packets")),
@@ -44,8 +41,7 @@ EdgeRouter::EdgeRouter(EdgeRouterConfig config,
       hist_blocklist_ns_(metrics_.histogram("latency.blocklist_ns")),
       hist_state_ns_(metrics_.histogram("latency.state_ns")),
       hist_policy_ns_(metrics_.histogram("latency.policy_ns")),
-      hist_forward_ns_(metrics_.histogram("latency.forward_ns")),
-      timing_(kTelemetryCompiled && config_.stage_timing) {
+      hist_forward_ns_(metrics_.histogram("latency.forward_ns")) {
   if (filter_ == nullptr || policy_ == nullptr) {
     throw std::invalid_argument("EdgeRouter: filter and policy required");
   }
@@ -53,22 +49,17 @@ EdgeRouter::EdgeRouter(EdgeRouterConfig config,
   // socket's per-tenant stats read the hierarchical filter's
   // introspection counters. The decision path never touches hier_.
   hier_ = dynamic_cast<HierarchicalFilter*>(filter_.get());
-  if constexpr (kFaultsCompiled) {
-    if (config_.health.enabled()) {
-      health_.emplace(config_.health);
-      health_occupancy_supported_ =
-          filter_->occupancy_fraction().has_value();
-      // Lazily registered here, not in the init list: a router with health
-      // disabled must not grow new counter names in its snapshots.
-      ctr_health_fail_open_ = &metrics_.counter("health.fail_open_admits");
-      ctr_health_fail_closed_ = &metrics_.counter("health.fail_closed_drops");
-      ctr_health_degraded_ =
-          &metrics_.counter("health.transitions_degraded");
-      ctr_health_recovered_ =
-          &metrics_.counter("health.transitions_recovered");
-      ctr_health_occupancy_unsupported_ =
-          &metrics_.counter("health.occupancy_unsupported");
-    }
+  if (config_.health.enabled()) {
+    health_.emplace(config_.health);
+    health_occupancy_supported_ = filter_->occupancy_fraction().has_value();
+    // Lazily registered here, not in the init list: a router with health
+    // disabled must not grow new counter names in its snapshots.
+    ctr_health_fail_open_ = &metrics_.counter("health.fail_open_admits");
+    ctr_health_fail_closed_ = &metrics_.counter("health.fail_closed_drops");
+    ctr_health_degraded_ = &metrics_.counter("health.transitions_degraded");
+    ctr_health_recovered_ = &metrics_.counter("health.transitions_recovered");
+    ctr_health_occupancy_unsupported_ =
+        &metrics_.counter("health.occupancy_unsupported");
   }
   if (config_.tuner.enabled) {
     config_.tuner.validate();
@@ -133,7 +124,7 @@ void EdgeRouter::set_drop_policy(std::unique_ptr<DropPolicy> policy) {
 }
 
 bool EdgeRouter::set_unhealthy_stance(UnhealthyStance stance) {
-  if (!kFaultsCompiled || !health_.has_value()) return false;
+  if (!health_.has_value()) return false;
   config_.health.stance = stance;
   return true;
 }
@@ -151,13 +142,13 @@ void EdgeRouter::replace_filter(std::unique_ptr<StateFilter> filter) {
   // Re-derive everything the constructor derived from the filter type:
   // a reload may change the backend out from under the telemetry seams.
   hier_ = dynamic_cast<HierarchicalFilter*>(filter_.get());
-  if (kFaultsCompiled && health_.has_value()) {
+  if (health_.has_value()) {
     health_occupancy_supported_ = filter_->occupancy_fraction().has_value();
   }
 }
 
 bool EdgeRouter::note_capture_outage(bool active, SimTime now) {
-  if (!kFaultsCompiled || !health_.has_value()) return false;
+  if (!health_.has_value()) return false;
   if (now < last_time_) now = last_time_;
   health_->note_capture_outage(active, now);
   // Mirror the transition counters and the per-packet degraded flag right
@@ -186,41 +177,33 @@ void EdgeRouter::process_batch(PacketBatch batch,
   }
   // Telemetry reads sit outside the decision path: clock values are only
   // ever recorded, never branched on, so decisions and stats are
-  // bit-identical with timing on, off, or compiled out.
-  if constexpr (kTelemetryCompiled) hist_batch_packets_.record(batch.size());
-  // kTelemetryCompiled is constexpr, so under UPBOUND_TELEMETRY=OFF every
-  // `kTelemetryCompiled && timing_` check and the clock reads behind it
-  // are eliminated at compile time.
+  // bit-identical with timing on or off.
+  hist_batch_packets_.record(batch.size());
   const std::uint64_t batch_t0 =
-      (kTelemetryCompiled && timing_) ? telemetry_clock_ns() : 0;
-  if (kFaultsCompiled && health_.has_value()) health_poll(batch);
+      config_.stage_timing ? telemetry_clock_ns() : 0;
+  if (health_.has_value()) health_poll(batch);
   if (tuner_.has_value()) tuner_poll();
   classify_batch(batch);
 
+  PacketRecord clamped;
   std::size_t i = 0;
   while (i < batch.size()) {
-    const PacketRecord& pkt = batch[i];
     const Direction dir = dirs_[i];
-
-    if (pkt.timestamp < last_time_) {
+    const bool regressed = batch[i].timestamp < last_time_;
+    if (regressed) {
       // Regressed clock (reordered capture, clock step): clamp to the
       // last-seen time so the meter, blocklist TTLs, and the filter's
       // rotation schedule stay monotonic instead of silently corrupting.
       ++stats_.out_of_order_packets;
       ctr_classify_out_of_order_.inc();
-      if (kFaultsCompiled && health_.has_value()) {
+      if (health_.has_value()) {
         health_->note_clock_clamp(last_time_);
         health_degraded_ = health_->degraded();
       }
-      PacketRecord clamped = pkt;
-      clamped.timestamp = last_time_;
-      decisions[i] = process_one(clamped, dir);
-      ++i;
-      continue;
     }
 
     if (dir != Direction::kOutbound && dir != Direction::kInbound) {
-      last_time_ = pkt.timestamp;
+      if (!regressed) last_time_ = batch[i].timestamp;
       filter_->advance_time(last_time_);
       ++stats_.ignored_packets;
       decisions[i] = RouterDecision::kIgnored;
@@ -228,31 +211,41 @@ void EdgeRouter::process_batch(PacketBatch batch,
       continue;
     }
 
-    // Maximal same-direction, time-sorted run: the unit the state stage
-    // can batch without changing any mark/lookup interleaving.
-    std::size_t j = i + 1;
-    while (j < batch.size() && dirs_[j] == dir &&
-           batch[j].timestamp >= batch[j - 1].timestamp) {
-      ++j;
-    }
-    const PacketBatch run = batch.subspan(i, j - i);
-    if constexpr (kTelemetryCompiled) hist_run_packets_.record(run.size());
-    if (dir == Direction::kOutbound) {
-      process_outbound_run(run, decisions.subspan(i, j - i));
+    PacketBatch run;
+    if (regressed) {
+      // The clamped copy runs through the stages as a one-packet run.
+      // run.packets histograms only the runs the input itself forms.
+      clamped = batch[i];
+      clamped.timestamp = last_time_;
+      run = PacketBatch{&clamped, 1};
     } else {
-      process_inbound_run(run, decisions.subspan(i, j - i));
+      // Maximal same-direction, time-sorted run: the unit the state stage
+      // can batch without changing any mark/lookup interleaving.
+      std::size_t j = i + 1;
+      while (j < batch.size() && dirs_[j] == dir &&
+             batch[j].timestamp >= batch[j - 1].timestamp) {
+        ++j;
+      }
+      run = batch.subspan(i, j - i);
+      hist_run_packets_.record(run.size());
     }
-    last_time_ = batch[j - 1].timestamp;
-    i = j;
+    const std::span<RouterDecision> run_decisions =
+        decisions.subspan(i, run.size());
+    if (dir == Direction::kOutbound) {
+      process_outbound_run(run, run_decisions);
+    } else {
+      process_inbound_run(run, run_decisions);
+    }
+    last_time_ = run.back().timestamp;
+    i += run.size();
   }
-  if (kTelemetryCompiled && timing_) {
+  if (config_.stage_timing) {
     hist_batch_ns_.record(telemetry_clock_ns() - batch_t0);
   }
 }
 
 void EdgeRouter::classify_batch(PacketBatch batch) {
-  const std::uint64_t t0 =
-      (kTelemetryCompiled && timing_) ? telemetry_clock_ns() : 0;
+  const std::uint64_t t0 = config_.stage_timing ? telemetry_clock_ns() : 0;
   dirs_.resize(batch.size());
   std::uint64_t outbound = 0;
   std::uint64_t inbound = 0;
@@ -271,20 +264,24 @@ void EdgeRouter::classify_batch(PacketBatch batch) {
   ctr_classify_outbound_.inc(outbound);
   ctr_classify_inbound_.inc(inbound);
   ctr_classify_ignored_.inc(ignored);
-  if (kTelemetryCompiled && timing_) {
+  if (config_.stage_timing) {
     hist_classify_ns_.record(telemetry_clock_ns() - t0);
   }
 }
 
 void EdgeRouter::process_outbound_run(PacketBatch run,
                                       std::span<RouterDecision> decisions) {
-  // Blocklist stage. is_blocked refreshes entry TTLs, so it runs per
-  // packet in order; within an outbound run nothing inserts entries, so
-  // the verdicts are stable for the rest of the run.
+  // Blocklist stage. Section 5.3: outbound packets of a blocked
+  // connection are suppressed too -- responses a real client would never
+  // have sent had the inbound request been dropped at the edge (the
+  // replay limitation the paper notes; per-connection suppression models
+  // it). is_blocked refreshes entry TTLs, so it runs per packet in order;
+  // within an outbound run nothing inserts entries, so the verdicts are
+  // stable for the rest of the run.
   const bool check_blocked = config_.track_blocked_connections &&
                              config_.suppress_blocked_outbound;
   // 1-in-kTimingSamplePeriod run sampling; see the header note.
-  const bool sample = kTelemetryCompiled && timing_ &&
+  const bool sample = config_.stage_timing &&
                       (timing_tick_++ & (kTimingSamplePeriod - 1)) == 0;
   const std::uint64_t blocklist_t0 = sample ? telemetry_clock_ns() : 0;
   if (check_blocked) {
@@ -301,8 +298,8 @@ void EdgeRouter::process_outbound_run(PacketBatch run,
   if (sample) hist_blocklist_ns_.record(state_t0 - blocklist_t0);
 
   // State stage: batch-mark maximal unsuppressed stretches. Suppressed
-  // packets never reach record_outbound (same as scalar); they only keep
-  // the filter clock current.
+  // packets never reach record_outbound; they only keep the filter clock
+  // current.
   std::size_t s = 0;
   while (s < run.size()) {
     if (run_blocked_[s]) {
@@ -334,7 +331,6 @@ void EdgeRouter::process_outbound_run(PacketBatch run,
     meter_.add(pkt.timestamp, pkt.wire_size());
     ++stats_.outbound_packets;
     stats_.outbound_bytes += pkt.wire_size();
-    passed_out_.add(pkt.timestamp, static_cast<double>(pkt.wire_size()));
     if (config_.tenancy.enabled) tenant_note_outbound(pkt);
     decisions[p] = RouterDecision::kPassedOutbound;
   }
@@ -344,76 +340,52 @@ void EdgeRouter::process_outbound_run(PacketBatch run,
 void EdgeRouter::process_inbound_run(PacketBatch run,
                                      std::span<RouterDecision> decisions) {
   // 1-in-kTimingSamplePeriod run sampling; see the header note.
-  const bool sample = kTelemetryCompiled && timing_ &&
+  const bool sample = config_.stage_timing &&
                       (timing_tick_++ & (kTimingSamplePeriod - 1)) == 0;
-  if (!filter_->inbound_lookup_is_pure()) {
-    // Side-effectful lookups (SPI refreshes flow timers): preserve the
-    // exact scalar interleaving of blocklist, lookup, and policy. The
-    // whole interleaved run is attributed to the policy stage.
-    const std::uint64_t t0 = sample ? telemetry_clock_ns() : 0;
-    for (std::size_t p = 0; p < run.size(); ++p) {
-      decisions[p] = process_one(run[p], Direction::kInbound);
-    }
-    if (sample) hist_policy_ns_.record(telemetry_clock_ns() - t0);
-    return;
-  }
-
-  // State stage first: the whole run's verdicts in one batched lookup.
-  // Safe because the lookup is pure -- verdicts for packets the blocklist
-  // stage later rejects are simply discarded. state.lookups is counted in
-  // the per-packet loop below, not here: the scalar path never consults
-  // the filter for blocked packets, and the counters must agree exactly
-  // (lookups == hits + misses on both paths).
+  // State stage first when the lookup is pure: the whole run's verdicts
+  // in one batched lookup; verdicts for packets the blocklist stage later
+  // rejects are simply discarded. A lookup with side effects (SPI
+  // refreshes flow timers, hierarchical touches its LRU) is made inline
+  // below instead, only for packets that survive the blocklist.
+  const bool pure = filter_->inbound_lookup_is_pure();
   const std::uint64_t state_t0 = sample ? telemetry_clock_ns() : 0;
-  if (admit_capacity_ < run.size()) {
-    admit_buf_ = std::make_unique<bool[]>(run.size());
-    admit_capacity_ = run.size();
-  }
-  const std::span<bool> admits{admit_buf_.get(), run.size()};
-  filter_->admits_inbound_batch(run, admits);
-  const std::uint64_t policy_t0 = sample ? telemetry_clock_ns() : 0;
-  if (sample) hist_state_ns_.record(policy_t0 - state_t0);
-
-  if (!config_.track_blocked_connections) {
-    // No blocklist: the admit mask from the state stage IS the verdict
-    // mask, so the per-packet blocklist branch disappears and the state
-    // counters accumulate in bulk (identical totals to the per-packet
-    // incs). Policy randomness still draws once per miss, in packet
-    // order, so the rng stream matches the scalar path bit for bit.
-    std::size_t hits = 0;
-    for (std::size_t p = 0; p < run.size(); ++p) {
-      const bool admit = admits[p];
-      hits += static_cast<std::size_t>(admit);
-      decisions[p] = admit ? admit_inbound(run[p])
-                           : drop_or_pass_inbound(run[p], run[p].timestamp);
+  if (pure) {
+    if (admit_capacity_ < run.size()) {
+      admit_buf_ = std::make_unique<bool[]>(run.size());
+      admit_capacity_ = run.size();
     }
-    ctr_state_lookups_.inc(run.size());
-    ctr_state_hits_.inc(hits);
-    ctr_state_misses_.inc(run.size() - hits);
-    if (sample) hist_policy_ns_.record(telemetry_clock_ns() - policy_t0);
-    return;
+    filter_->admits_inbound_batch(run, {admit_buf_.get(), run.size()});
   }
+  const std::uint64_t policy_t0 = sample ? telemetry_clock_ns() : 0;
+  if (sample && pure) hist_state_ns_.record(policy_t0 - state_t0);
 
   // Blocklist + policy stages, per packet in order (both mutate: a policy
   // drop inserts a blocklist entry that later packets of the same run
-  // must observe).
+  // must observe). Section 5.3: a packet of a blocked connection is
+  // dropped without consulting the filter, so state.lookups counts only
+  // the packets that reach the state stage (lookups == hits + misses).
   for (std::size_t p = 0; p < run.size(); ++p) {
     const PacketRecord& pkt = run[p];
     const SimTime now = pkt.timestamp;
-    ctr_blocklist_lookups_.inc();
-    if (blocklist_.is_blocked(pkt.tuple, now)) {
-      ctr_blocklist_hits_.inc();
-      ++stats_.inbound_dropped_packets;
-      stats_.inbound_dropped_bytes += pkt.wire_size();
-      ++stats_.blocked_drops;
-      if (config_.tenancy.enabled) {
-        tenant_note_inbound_dropped(pkt, /*blocked=*/true, /*policy=*/false);
+    // The batched lookup advanced a pure filter's clock through the whole
+    // run; an impure one advances per packet, blocked or not.
+    if (!pure) filter_->advance_time(now);
+    if (config_.track_blocked_connections) {
+      ctr_blocklist_lookups_.inc();
+      if (blocklist_.is_blocked(pkt.tuple, now)) {
+        ctr_blocklist_hits_.inc();
+        ++stats_.inbound_dropped_packets;
+        stats_.inbound_dropped_bytes += pkt.wire_size();
+        ++stats_.blocked_drops;
+        if (config_.tenancy.enabled) {
+          tenant_note_inbound_dropped(pkt, /*blocked=*/true, /*policy=*/false);
+        }
+        decisions[p] = RouterDecision::kDroppedBlocked;
+        continue;
       }
-      decisions[p] = RouterDecision::kDroppedBlocked;
-      continue;
     }
     ctr_state_lookups_.inc();
-    if (admits[p]) {
+    if (pure ? admit_buf_[p] : filter_->admits_inbound(pkt)) {
       ctr_state_hits_.inc();
       decisions[p] = admit_inbound(pkt);
       continue;
@@ -424,69 +396,9 @@ void EdgeRouter::process_inbound_run(PacketBatch run,
   if (sample) hist_policy_ns_.record(telemetry_clock_ns() - policy_t0);
 }
 
-RouterDecision EdgeRouter::process_one(const PacketRecord& pkt,
-                                       Direction dir) {
-  const SimTime now = pkt.timestamp;
-  last_time_ = now;  // caller guarantees now >= the previous last_time_
-  filter_->advance_time(now);
-
-  if (dir != Direction::kOutbound && dir != Direction::kInbound) {
-    ++stats_.ignored_packets;
-    return RouterDecision::kIgnored;
-  }
-
-  // Section 5.3: once a connection is blocked, every later packet of sigma
-  // or its inverse is dropped without consulting the filter. Outbound
-  // packets of a blocked connection are suppressed too -- they are
-  // responses a real client would never have generated had the inbound
-  // request been dropped at the edge (the replay limitation the paper
-  // notes; per-connection suppression models it).
-  if (config_.track_blocked_connections &&
-      (dir == Direction::kInbound || config_.suppress_blocked_outbound)) {
-    ctr_blocklist_lookups_.inc();
-    if (blocklist_.is_blocked(pkt.tuple, now)) {
-      ctr_blocklist_hits_.inc();
-      if (dir == Direction::kOutbound) {
-        ++stats_.suppressed_outbound_packets;
-        stats_.suppressed_outbound_bytes += pkt.wire_size();
-        if (config_.tenancy.enabled) tenant_note_suppressed(pkt);
-      } else {
-        ++stats_.inbound_dropped_packets;
-        stats_.inbound_dropped_bytes += pkt.wire_size();
-        ++stats_.blocked_drops;
-        if (config_.tenancy.enabled) {
-          tenant_note_inbound_dropped(pkt, /*blocked=*/true,
-                                      /*policy=*/false);
-        }
-      }
-      return RouterDecision::kDroppedBlocked;
-    }
-  }
-
-  if (dir == Direction::kOutbound) {
-    ctr_state_marks_.inc();
-    filter_->record_outbound(pkt);
-    meter_.add(now, pkt.wire_size());
-    ++stats_.outbound_packets;
-    stats_.outbound_bytes += pkt.wire_size();
-    passed_out_.add(now, static_cast<double>(pkt.wire_size()));
-    if (config_.tenancy.enabled) tenant_note_outbound(pkt);
-    return RouterDecision::kPassedOutbound;
-  }
-
-  ctr_state_lookups_.inc();
-  if (filter_->admits_inbound(pkt)) {
-    ctr_state_hits_.inc();
-    return admit_inbound(pkt);
-  }
-  ctr_state_misses_.inc();
-  return drop_or_pass_inbound(pkt, now);
-}
-
 RouterDecision EdgeRouter::admit_inbound(const PacketRecord& pkt) {
   ++stats_.inbound_passed_packets;
   stats_.inbound_passed_bytes += pkt.wire_size();
-  passed_in_.add(pkt.timestamp, static_cast<double>(pkt.wire_size()));
   if (config_.tenancy.enabled) tenant_note_inbound_passed(pkt);
   return RouterDecision::kPassedInbound;
 }
@@ -537,7 +449,7 @@ void EdgeRouter::tenant_note_inbound_dropped(const PacketRecord& pkt,
 
 RouterDecision EdgeRouter::drop_or_pass_inbound(const PacketRecord& pkt,
                                                 SimTime now) {
-  if (kFaultsCompiled && health_degraded_) {
+  if (health_degraded_) {
     // Degraded: the miss that brought us here is no longer evidence (the
     // Eq. 2 chain is broken), so Eq. 1 is not evaluated and nothing is
     // blocklisted -- both stances are reversible the moment health
@@ -635,7 +547,7 @@ MetricsSnapshot EdgeRouter::metrics_snapshot() {
     // by backends with an occupancy signal (registry kCapOccupancy).
     metrics_.gauge("state.occupancy").set(*occupancy);
   }
-  if (kFaultsCompiled && health_.has_value()) {
+  if (health_.has_value()) {
     metrics_.gauge("health.state").set(health_->degraded() ? 1.0 : 0.0);
   }
   if (hier_ != nullptr) {

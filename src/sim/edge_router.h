@@ -13,10 +13,10 @@
 // stages -- classify -> blocklist -> state -> meter/Eq.1 policy -- and
 // hands maximal same-direction runs to the filter's batch API so the
 // bitmap path hashes once per packet and overlaps its bit-vector cache
-// misses. The single-packet process() is a batch-of-1 wrapper. Decisions
-// and stats are bit-identical between the two entry points (enforced by
-// the differential tests); each stage exposes per-stage event counters
-// through a CounterRegistry.
+// misses. Every packet takes that one path: the single-packet process()
+// is a batch-of-1 wrapper, and a packet whose timestamp regressed runs as
+// a one-packet run of its clamped copy. Each stage exposes per-stage
+// event counters through a CounterRegistry.
 #pragma once
 
 #include <map>
@@ -36,7 +36,6 @@
 #include "util/counters.h"
 #include "util/metrics.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace upbound {
 
@@ -62,7 +61,8 @@ struct EdgeRouterConfig {
   ClientNetwork network;
   /// Averaging window of the uplink throughput estimate.
   Duration meter_window = Duration::sec(1.0);
-  /// Per-bucket width of the recorded throughput series (Figs. 8-9).
+  /// Bucket width of the throughput series a live run records (Figs.
+  /// 8-9); offline replay takes its width as a replay_trace argument.
   Duration series_bucket = Duration::sec(1.0);
   /// Enables the Section 5.3 blocked-connection persistence.
   bool track_blocked_connections = true;
@@ -76,13 +76,11 @@ struct EdgeRouterConfig {
   Duration blocklist_ttl = Duration::sec(120.0);
   std::uint64_t seed = 7;
   /// Records wall-clock per-stage latency histograms (latency.*_ns) while
-  /// replaying. Only effective when telemetry is compiled in
-  /// (UPBOUND_TELEMETRY=ON); the timing reads happen outside the decision
-  /// path, so decisions and stats are identical either way.
+  /// replaying. The timing reads happen outside the decision path, so
+  /// decisions and stats are identical either way.
   bool stage_timing = true;
   /// Health monitoring + degraded stance (see fault/health_monitor.h).
-  /// Disabled by default; also inert when the fault plane is compiled out
-  /// (UPBOUND_FAULTS=OFF). While degraded, only the stateless-inbound
+  /// Disabled by default. While degraded, only the stateless-inbound
   /// verdict changes: fail-open admits, fail-closed drops (without
   /// evaluating Eq. 1 or inserting blocklist entries, so the policy.* and
   /// blocklist stage identities keep holding).
@@ -207,7 +205,7 @@ class EdgeRouter {
   /// must keep the filter's time monotonic with the packet stream.
   StateFilter& filter() { return *filter_; }
   const BlockList& blocklist() const { return blocklist_; }
-  /// The health monitor, or nullptr when disabled (or compiled out).
+  /// The health monitor, or nullptr when disabled.
   const HealthMonitor* health() const {
     return health_.has_value() ? &*health_ : nullptr;
   }
@@ -217,10 +215,6 @@ class EdgeRouter {
   }
   const CounterRegistry& counters() const { return metrics_.counters(); }
   const MetricsRegistry& metrics() const { return metrics_; }
-
-  /// Bytes that crossed the router, bucketed over time, by direction.
-  const TimeSeries& passed_outbound_series() const { return passed_out_; }
-  const TimeSeries& passed_inbound_series() const { return passed_in_; }
 
   /// Current uplink throughput estimate (the Eq. 1 input b when tenancy
   /// is disabled; always the aggregate uplink series either way).
@@ -253,9 +247,8 @@ class EdgeRouter {
 
   /// Retargets the degraded-mode stance at runtime (live
   /// `set on-unhealthy`). Returns false when health monitoring is not
-  /// engaged (disabled by config or compiled out): the stance would
-  /// never be consulted, so pretending to set it would be lying to the
-  /// operator.
+  /// engaged (disabled by config): the stance would never be consulted,
+  /// so pretending to set it would be lying to the operator.
   bool set_unhealthy_stance(UnhealthyStance stance);
 
   /// Swaps the state filter at runtime (live hot reload: the caller has
@@ -279,18 +272,13 @@ class EdgeRouter {
   /// Stage 1: direction per packet into dirs_, plus classify.* counters.
   void classify_batch(PacketBatch batch);
 
-  /// Stages 2-4 for a maximal same-direction, time-sorted run.
+  /// Stages 2-4 for a same-direction, time-sorted run.
   void process_outbound_run(PacketBatch run,
                             std::span<RouterDecision> decisions);
   void process_inbound_run(PacketBatch run,
                            std::span<RouterDecision> decisions);
 
-  /// Exact scalar pipeline for one packet whose direction is known.
-  /// Used for clamped out-of-order packets and for filters whose inbound
-  /// lookup has side effects (SPI) and therefore cannot be batched.
-  RouterDecision process_one(const PacketRecord& pkt, Direction dir);
-
-  // Inbound verdict bookkeeping shared by the batched and scalar paths.
+  // Inbound verdict bookkeeping.
   RouterDecision admit_inbound(const PacketRecord& pkt);
   RouterDecision drop_or_pass_inbound(const PacketRecord& pkt, SimTime now);
 
@@ -304,9 +292,9 @@ class EdgeRouter {
   /// so sampling is deterministic for a given packet/batch sequence.
   void tuner_poll();
 
-  /// Tenancy attribution shared by the batched and scalar paths. Only
-  /// called when tenancy is enabled; the packet's timestamp must already
-  /// be monotonic (callers clamp before attributing).
+  /// Tenancy attribution. Only called when tenancy is enabled; the
+  /// packet's timestamp must already be monotonic (callers clamp before
+  /// attributing).
   void tenant_note_outbound(const PacketRecord& pkt);
   void tenant_note_suppressed(const PacketRecord& pkt);
   void tenant_note_inbound_passed(const PacketRecord& pkt);
@@ -331,16 +319,14 @@ class EdgeRouter {
   BlockList blocklist_;
   Rng rng_;
   EdgeRouterStats stats_;
-  TimeSeries passed_out_;
-  TimeSeries passed_in_;
 
   /// Highest timestamp seen; regressions are clamped up to this.
   SimTime last_time_;
 
-  /// Engaged iff config_.health.enabled() and the fault plane is compiled
-  /// in; every health member below is untouched otherwise, and the
-  /// health.* counters are never registered -- a disabled router's metrics
-  /// output is byte-identical to a build without the feature.
+  /// Engaged iff config_.health.enabled(); every health member below is
+  /// untouched otherwise, and the health.* counters are never registered
+  /// -- a disabled router's metrics output is byte-identical to a router
+  /// without the feature.
   std::optional<HealthMonitor> health_;
   /// Whether the filter reports occupancy_fraction() (registry capability
   /// kCapOccupancy). When false, sampling ticks count into
@@ -364,7 +350,7 @@ class EdgeRouter {
   StageCounter* ctr_health_recovered_ = nullptr;
   StageCounter* ctr_health_occupancy_unsupported_ = nullptr;
 
-  /// Engaged iff config_.tuner.enabled (independent of the fault plane).
+  /// Engaged iff config_.tuner.enabled.
   std::optional<AdaptiveTuner> tuner_;
   std::uint64_t tuner_tick_ = 0;
 
@@ -388,7 +374,7 @@ class EdgeRouter {
   // Telemetry histograms (references into metrics_ stay valid). The
   // batch./run. size histograms are simulation-domain and deterministic;
   // the latency.*_ns histograms are wall-clock and recorded only when
-  // timing_ is set. Empty in both classes when telemetry is compiled out.
+  // config_.stage_timing is set.
   LatencyHistogram& hist_batch_packets_;
   LatencyHistogram& hist_run_packets_;
   LatencyHistogram& hist_batch_ns_;
@@ -397,9 +383,6 @@ class EdgeRouter {
   LatencyHistogram& hist_state_ns_;
   LatencyHistogram& hist_policy_ns_;
   LatencyHistogram& hist_forward_ns_;
-  /// config_.stage_timing && telemetry compiled in; constant-folded to
-  /// false (dead timing code removed) under UPBOUND_TELEMETRY=OFF.
-  const bool timing_;
   /// Runs are often a handful of packets, so timing every one would spend
   /// more cycles in the clock than in the stages (~75% overhead measured).
   /// The run-level stage timers sample 1 run in kTimingSamplePeriod

@@ -169,11 +169,9 @@ ParallelReplayResult parallel_replay(const Trace& trace,
   const std::size_t threads = config.threads;
 
   FaultInjector* injector = nullptr;
-  if constexpr (kFaultsCompiled) {
-    if (config.fault_injector != nullptr && config.fault_injector->armed()) {
-      injector = config.fault_injector;
-      injector->bind(shards);
-    }
+  if (config.fault_injector != nullptr && config.fault_injector->armed()) {
+    injector = config.fault_injector;
+    injector->bind(shards);
   }
 
   // Routers are built on this thread in shard order, so factory-side seed
@@ -377,14 +375,10 @@ ParallelReplayResult parallel_replay(const Trace& trace,
   // Bounded producer wait accounting: the first failed push/pop starts the
   // clock, the histogram gets one sample per completed wait.
   const auto note_backpressure = [&](std::uint64_t t0) {
-    if constexpr (kTelemetryCompiled) {
-      if (backpressure == nullptr) {
-        backpressure = &feed_metrics.histogram("ring.backpressure_ns");
-      }
-      backpressure->record(telemetry_clock_ns() - t0);
-    } else {
-      (void)t0;
+    if (backpressure == nullptr) {
+      backpressure = &feed_metrics.histogram("ring.backpressure_ns");
     }
+    backpressure->record(telemetry_clock_ns() - t0);
   };
 
   const auto lane_dead = [](ShardLane& lane) {
@@ -477,7 +471,7 @@ ParallelReplayResult parallel_replay(const Trace& trace,
   std::uint64_t feed_index = 0;
   for (const PacketRecord& src : trace) {
     const PacketRecord* pkt = &src;
-    if (kFaultsCompiled && injector != nullptr) {
+    if (injector != nullptr) {
       copy_for_replay(scratch, src);
       injector->apply_feed(feed_index, scratch);
       pkt = &scratch;
@@ -569,6 +563,9 @@ ParallelReplayResult parallel_replay(const Trace& trace,
     }
     std::vector<std::vector<PacketRecord>> failover(shards);
     for (const std::size_t d : dead_shards) {
+      // A chunk the feed pushed after the dying worker drained its ring,
+      // but before the worker published its death, is still in the ring.
+      reclaim_dead(d);
       for (PacketRecord& pkt : lanes[d]->sidecar) {
         if (alive_shards.empty()) {
           ++unroutable;
@@ -646,13 +643,11 @@ ParallelReplayResult sharded_replay_reference(
     const ParallelReplayConfig& raw_config) {
   const ParallelReplayConfig config = resolve(raw_config);
   const std::size_t shards = config.shards;
-  if constexpr (kFaultsCompiled) {
-    // The reference path has no lanes to fault; silently ignoring a spec
-    // would make a faulted comparison vacuously pass.
-    if (config.fault_injector != nullptr && config.fault_injector->armed()) {
-      throw std::invalid_argument(
-          "sharded_replay_reference does not support fault injection");
-    }
+  // The reference path has no lanes to fault; silently ignoring a spec
+  // would make a faulted comparison vacuously pass.
+  if (config.fault_injector != nullptr && config.fault_injector->armed()) {
+    throw std::invalid_argument(
+        "sharded_replay_reference does not support fault injection");
   }
 
   std::vector<Trace> sub_traces(shards);

@@ -81,8 +81,7 @@ struct ParallelReplayConfig {
   std::size_t ring_chunks = 64;
   /// Deterministic fault injector (non-owning; may be nullptr). When armed,
   /// the engine calls bind(shards) before feeding and applies feed faults in
-  /// the partitioner and lane faults in the owning worker. Ignored entirely
-  /// when the fault plane is compiled out (UPBOUND_FAULTS=OFF).
+  /// the partitioner and lane faults in the owning worker.
   FaultInjector* fault_injector = nullptr;
   /// Watchdog: a live lane whose worker bumped no heartbeat for this long
   /// while packets sat in its ring is condemned; the worker acknowledges at

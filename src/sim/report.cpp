@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 namespace upbound::report {
 
@@ -107,32 +108,35 @@ std::string throughput_series(
     const std::vector<std::pair<std::string, const TimeSeries*>>& series,
     std::size_t max_rows) {
   std::string out = "  t(s)";
-  std::size_t buckets = 0;
+  // Rows span the stored buckets of all series, by absolute bucket index.
+  std::size_t begin = std::numeric_limits<std::size_t>::max();
+  std::size_t end = 0;
   double peak = 1.0;
   for (const auto& [name, ts] : series) {
     char head[64];
     std::snprintf(head, sizeof(head), "  %14s", (name + "(Mbps)").c_str());
     out += head;
-    buckets = std::max(buckets, ts->bucket_count());
-    for (std::size_t i = 0; i < ts->bucket_count(); ++i) {
+    if (ts->bucket_count() == 0) continue;
+    begin = std::min(begin, ts->first_bucket());
+    end = std::max(end, ts->bucket_count());
+    for (std::size_t i = ts->first_bucket(); i < ts->bucket_count(); ++i) {
       peak = std::max(peak,
                       ts->bucket_value(i) * 8.0 /
                           ts->bucket_width().to_sec() / 1e6);
     }
   }
   out += "\n";
+  begin = std::min(begin, end);
+  const std::size_t buckets = end - begin;
   const std::size_t step = buckets > max_rows ? (buckets + max_rows - 1) / max_rows : 1;
   char line[64];
-  for (std::size_t i = 0; i < buckets; i += step) {
-    const auto* first = series.front().second;
+  for (std::size_t i = begin; i < end; i += step) {
     std::snprintf(line, sizeof(line), "  %4.0f",
-                  first->bucket_start(std::min(i, buckets - 1)).sec());
+                  series.front().second->bucket_start(i).sec());
     out += line;
     for (const auto& [name, ts] : series) {
       const double mbps =
-          i < ts->bucket_count()
-              ? ts->bucket_value(i) * 8.0 / ts->bucket_width().to_sec() / 1e6
-              : 0.0;
+          ts->bucket_value(i) * 8.0 / ts->bucket_width().to_sec() / 1e6;
       std::snprintf(line, sizeof(line), "  %14.2f", mbps);
       out += line;
     }

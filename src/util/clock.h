@@ -40,8 +40,9 @@ class VirtualClock final : public Clock {
 };
 
 /// CLOCK_MONOTONIC, rebased so the first call is t=0. Rebasing keeps live
-/// timestamps in the same small-epoch domain as synthetic traces (and the
-/// TimeSeries bucket math, which is origin-anchored).
+/// timestamps in the same small-epoch domain as synthetic traces, so a
+/// live run's series bucket indices and report rows read like a replay's
+/// (TimeSeries stores only the populated span either way).
 class MonotonicClock final : public Clock {
  public:
   MonotonicClock();

@@ -144,7 +144,7 @@ Hash128 murmur3_x64_128(std::span<const std::uint8_t> data,
 }
 
 namespace detail {
-#if defined(UPBOUND_SIMD_COMPILED)
+#if defined(UPBOUND_AVX2_KERNEL)
 // Defined in hash_simd.cpp (the only TU compiled with -mavx2); processes a
 // multiple of four 16-byte slots.
 void murmur3_avx2_short_batch(const std::uint8_t* keys, std::size_t count,
@@ -184,16 +184,8 @@ std::atomic<bool>& simd_hash_flag() {
 
 }  // namespace
 
-bool simd_hash_compiled() {
-#if defined(UPBOUND_SIMD_COMPILED)
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool simd_hash_available() {
-#if defined(UPBOUND_SIMD_COMPILED)
+#if defined(UPBOUND_AVX2_KERNEL)
   return __builtin_cpu_supports("avx2") != 0;
 #else
   return false;
@@ -213,7 +205,7 @@ void murmur3_x64_128_short_batch(const std::uint8_t* keys, std::size_t len,
                                  std::size_t count, std::uint64_t seed,
                                  Hash128* out) {
   std::size_t i = 0;
-#if defined(UPBOUND_SIMD_COMPILED)
+#if defined(UPBOUND_AVX2_KERNEL)
   if (count >= 4 && simd_hash_enabled()) {
     const std::size_t groups = count & ~std::size_t{3};
     detail::murmur3_avx2_short_batch(keys, groups, len, seed, out);

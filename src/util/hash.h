@@ -37,16 +37,13 @@ inline constexpr std::size_t kHashKeyStride = 16;
 /// covers the 13-byte five-tuple and 11-byte hole-punch keys) laid out at
 /// kHashKeyStride-byte slots. Bit-identical to murmur3_x64_128 over each
 /// slot's first `len` bytes; bytes past `len` in every slot MUST be zero.
-/// Dispatches to the AVX2 kernel when it is compiled in, the CPU supports
-/// it, and it has not been disabled via set_simd_hash_enabled().
+/// Dispatches to the AVX2 kernel (part of every x86-64 build) when the CPU
+/// supports it and it has not been disabled via set_simd_hash_enabled().
 void murmur3_x64_128_short_batch(const std::uint8_t* keys, std::size_t len,
                                  std::size_t count, std::uint64_t seed,
                                  Hash128* out);
 
-/// True when the AVX2 batch kernel was compiled in (UPBOUND_SIMD=ON).
-bool simd_hash_compiled();
-
-/// simd_hash_compiled() AND the running CPU reports AVX2 support.
+/// True when this is an x86-64 build and the running CPU reports AVX2.
 bool simd_hash_available();
 
 /// Process-global switch consulted by murmur3_x64_128_short_batch; starts

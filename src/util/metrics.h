@@ -12,13 +12,6 @@
 // are *non-deterministic* by nature; by convention their names end in
 // "_ns" and MetricsSnapshot::deterministic() strips them, which is what
 // the determinism tests and the --metrics-deterministic CLI flag compare.
-//
-// The UPBOUND_TELEMETRY compile switch (CMake option, default ON; OFF
-// defines UPBOUND_TELEMETRY_OFF) removes every histogram record and clock
-// read from the datapath at compile time: kTelemetryCompiled is constexpr
-// false, so the guarding branches fold away and the hot path carries zero
-// telemetry cost. Counters are not affected by the switch -- they are part
-// of the stats contract, not telemetry.
 #pragma once
 
 #include <chrono>
@@ -33,24 +26,12 @@
 
 namespace upbound {
 
-#ifdef UPBOUND_TELEMETRY_OFF
-inline constexpr bool kTelemetryCompiled = false;
-#else
-inline constexpr bool kTelemetryCompiled = true;
-#endif
-
-/// Monotonic wall-clock nanoseconds (arbitrary epoch) for stage timing;
-/// constant 0 when telemetry is compiled out, so callers can subtract
-/// freely without branching on the build mode.
+/// Monotonic wall-clock nanoseconds (arbitrary epoch) for stage timing.
 inline std::uint64_t telemetry_clock_ns() {
-  if constexpr (!kTelemetryCompiled) {
-    return 0;
-  } else {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 /// A last-write-wins instantaneous value. Not thread-safe; like counters,

@@ -127,10 +127,20 @@ TimeSeries::TimeSeries(Duration bucket_width) : width_(bucket_width) {
 
 void TimeSeries::add(SimTime t, double value) {
   if (t.usec() < 0) return;  // before trace origin: ignore
-  const std::size_t idx =
-      static_cast<std::size_t>(t.usec() / width_.count_usec());
-  if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0.0);
-  buckets_[idx] += value;
+  bucket(static_cast<std::size_t>(t.usec() / width_.count_usec())) += value;
+}
+
+double& TimeSeries::bucket(std::size_t index) {
+  if (buckets_.empty()) {
+    first_ = index;
+  } else if (index < first_) {
+    buckets_.insert(buckets_.begin(), first_ - index, 0.0);
+    first_ = index;
+  }
+  if (index - first_ >= buckets_.size()) {
+    buckets_.resize(index - first_ + 1, 0.0);
+  }
+  return buckets_[index - first_];
 }
 
 SimTime TimeSeries::bucket_start(std::size_t i) const {
@@ -147,12 +157,20 @@ void TimeSeries::add_series(const TimeSeries& other) {
   if (width_ != other.width_) {
     throw std::invalid_argument("TimeSeries::add_series: width mismatch");
   }
-  if (other.buckets_.size() > buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0.0);
-  }
   for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
+    bucket(other.first_ + i) += other.buckets_[i];
   }
+}
+
+bool TimeSeries::operator==(const TimeSeries& other) const {
+  const auto within = [](const TimeSeries& a, const TimeSeries& b) {
+    for (std::size_t i = 0; i < a.buckets_.size(); ++i) {
+      if (a.buckets_[i] != b.bucket_value(a.first_ + i)) return false;
+    }
+    return true;
+  };
+  return width_ == other.width_ && within(*this, other) &&
+         within(other, *this);
 }
 
 std::vector<double> TimeSeries::rates() const {

@@ -85,7 +85,10 @@ class Histogram {
 };
 
 /// Accumulates per-interval values keyed by simulation time; used for the
-/// throughput-vs-time series in Figs. 8 and 9.
+/// throughput-vs-time series in Figs. 8 and 9. Bucket i covers
+/// [i * width, (i + 1) * width) from the time origin, but only the range
+/// between the first and last populated buckets is stored: a capture
+/// stamped in Unix-epoch time costs O(span / width) memory.
 class TimeSeries {
  public:
   explicit TimeSeries(Duration bucket_width);
@@ -93,18 +96,23 @@ class TimeSeries {
   void add(SimTime t, double value);
 
   Duration bucket_width() const { return width_; }
-  std::size_t bucket_count() const { return buckets_.size(); }
-  /// Value of bucket i; 0 beyond the last populated bucket (the series is
+  /// Index of the first stored bucket (0 when empty).
+  std::size_t first_bucket() const { return first_; }
+  /// One past the index of the last stored bucket (0 when empty).
+  std::size_t bucket_count() const { return first_ + buckets_.size(); }
+  /// Value of bucket i; 0 outside the stored range (the series is
   /// conceptually infinite and sparse).
   double bucket_value(std::size_t i) const {
-    return i < buckets_.size() ? buckets_[i] : 0.0;
+    return i >= first_ && i - first_ < buckets_.size() ? buckets_[i - first_]
+                                                       : 0.0;
   }
   SimTime bucket_start(std::size_t i) const;
 
   /// Sum over all buckets.
   double total() const;
 
-  /// Bucket sums scaled by 1/width (per-second rates if values are counts).
+  /// Bucket sums scaled by 1/width (per-second rates if values are counts)
+  /// over the stored range: rates()[k] is bucket first_bucket() + k.
   std::vector<double> rates() const;
 
   /// Bucket-wise sum of `other` into this series; widths must match
@@ -113,10 +121,15 @@ class TimeSeries {
   /// the sums are exact and merge order cannot change the result.
   void add_series(const TimeSeries& other);
 
-  bool operator==(const TimeSeries&) const = default;
+  /// Same width and the same value in every bucket.
+  bool operator==(const TimeSeries& other) const;
 
  private:
+  /// Bucket `index`, growing the stored range to cover it.
+  double& bucket(std::size_t index);
+
   Duration width_;
+  std::size_t first_ = 0;
   std::vector<double> buckets_;
 };
 

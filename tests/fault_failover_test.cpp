@@ -56,7 +56,6 @@ ParallelReplayResult run_killed(std::size_t threads,
 }
 
 TEST(FaultFailover, KillShardResultInvariantUnderThreadCount) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const std::string spec = "kill-shard:2@300";
   const ParallelReplayResult reference = run_killed(1, spec);
   ASSERT_EQ(reference.shard_failed.size(), 8u);
@@ -82,7 +81,6 @@ TEST(FaultFailover, KillShardResultInvariantUnderThreadCount) {
 }
 
 TEST(FaultFailover, KilledShardFreezesAtDeathPoint) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const ParallelReplayResult result = run_killed(4, "kill-shard:2@300");
   // The dead lane processed exactly its pre-death prefix ...
   EXPECT_EQ(result.shard_packets[2], 300u);
@@ -94,7 +92,6 @@ TEST(FaultFailover, KilledShardFreezesAtDeathPoint) {
 }
 
 TEST(FaultFailover, KillBeforeFirstPacketFailsOverEverything) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const ParallelReplayResult result = run_killed(4, "kill-shard:5@0");
   EXPECT_EQ(result.shard_packets[5], 0u);
   EXPECT_EQ(total_packets(result.shard_stats[5]), 0u);
@@ -103,7 +100,6 @@ TEST(FaultFailover, KillBeforeFirstPacketFailsOverEverything) {
 }
 
 TEST(FaultFailover, AllLanesDeadMeansUnroutable) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const GeneratedTrace& trace = shared_trace();
   FaultInjector injector{FaultSpec::parse("kill-shard:0@0,kill-shard:1@0"),
                          7};
@@ -119,7 +115,6 @@ TEST(FaultFailover, AllLanesDeadMeansUnroutable) {
 }
 
 TEST(FaultFailover, WatchdogCondemnationMatchesKillAtSamePoint) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   // A lane stalled far past the watchdog timeout is condemned; the worker
   // acknowledges right at the stall point, so the failover outcome equals
   // an explicit kill at the same packet index. (Metrics differ -- the
@@ -148,7 +143,6 @@ TEST(FaultFailover, WatchdogCondemnationMatchesKillAtSamePoint) {
 }
 
 TEST(FaultFailover, WatchdogLeavesHealthyLanesAlone) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   // An aggressive watchdog over a fault-free run must condemn nothing and
   // reproduce the unfaulted result exactly.
   const GeneratedTrace& trace = shared_trace();
@@ -172,7 +166,6 @@ TEST(FaultFailover, WatchdogLeavesHealthyLanesAlone) {
 }
 
 TEST(FaultFailover, ReferenceEngineRejectsInjector) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const GeneratedTrace& trace = shared_trace();
   FaultInjector injector{FaultSpec::parse("kill-shard:0@0"), 7};
   ParallelReplayConfig config;

@@ -69,7 +69,6 @@ ParallelReplayResult run_with_spec(const std::string& spec_text,
 }
 
 TEST(FaultMatrix, EveryKindIsRunToRunReproducible) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const char* kSpecs[] = {
       "kill-shard:1@200",   "stall-shard:2@100:20", "corrupt:0.05",
       "clock-step:-1.5@500", "clock-skew:1.0001",   "flip-bit:0:123@50",
@@ -90,7 +89,6 @@ TEST(FaultMatrix, EveryKindIsRunToRunReproducible) {
 }
 
 TEST(FaultMatrix, EveryKindConservesPackets) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const GeneratedTrace& trace = shared_trace();
   const char* kSpecs[] = {
       "kill-shard:1@200", "stall-shard:2@100:20", "corrupt:0.05",
@@ -108,7 +106,6 @@ TEST(FaultMatrix, EveryKindConservesPackets) {
 }
 
 TEST(FaultMatrix, StallAndRingOverflowAreResultNeutral) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   // Timing-plane faults perturb scheduling and backpressure only; the
   // merged outcome must be byte-identical to the fault-free run.
   const ParallelReplayResult clean = run_with_spec("", 4, bitmap_factory());
@@ -123,7 +120,6 @@ TEST(FaultMatrix, StallAndRingOverflowAreResultNeutral) {
 }
 
 TEST(FaultMatrix, DaemonPlaneKindsAreInertInShardReplay) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   // capture.* and checkpoint.* address the live daemon's capture loop
   // and checkpointer. Inside the shard replay engine they must parse,
   // ride along with shard-scoped kinds in one spec, and leave the result
@@ -150,7 +146,6 @@ TEST(FaultMatrix, DaemonPlaneKindsAreInertInShardReplay) {
 }
 
 TEST(FaultMatrix, FlipBitPerturbsBitmapDecisions) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const GeneratedTrace& trace = shared_trace();
   // Flip a handful of bits in every shard's current vector early on: the
   // run must complete, and the flips are recorded as applied.
@@ -169,7 +164,6 @@ TEST(FaultMatrix, FlipBitPerturbsBitmapDecisions) {
 }
 
 TEST(FaultMatrix, FlipBitIgnoredButCountedOnSpiFilter) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const GeneratedTrace& trace = shared_trace();
   FaultInjector injector{FaultSpec::parse("flip-bit:0:123@50"), 7};
   ParallelReplayConfig config;
@@ -184,7 +178,6 @@ TEST(FaultMatrix, FlipBitIgnoredButCountedOnSpiFilter) {
 }
 
 TEST(FaultMatrix, FaultCountersAreExportedDeterministically) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const ParallelReplayResult result =
       run_with_spec("corrupt:0.05,kill-shard:1@200", 4, bitmap_factory());
   const MetricsSnapshot snap = result.merged.metrics.deterministic();
@@ -205,7 +198,6 @@ TEST(FaultMatrix, FaultCountersAreExportedDeterministically) {
 }
 
 TEST(FaultMatrix, BindRejectsOutOfRangeShard) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const GeneratedTrace& trace = shared_trace();
   FaultInjector injector{FaultSpec::parse("kill-shard:9@0"), 7};
   ParallelReplayConfig config;

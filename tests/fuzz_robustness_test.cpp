@@ -100,7 +100,8 @@ TEST_F(FuzzPcap, GarbageGlobalHeadersFailCleanly) {
       std::FILE* f = std::fopen(path_.c_str(), "wb");
       ASSERT_NE(f, nullptr);
       const auto bytes = random_bytes(rng, rng.next_below(64));
-      std::fwrite(bytes.data(), 1, bytes.size(), f);
+      // An empty vector's data() may be null, which fwrite must not get.
+      if (!bytes.empty()) std::fwrite(bytes.data(), 1, bytes.size(), f);
       std::fclose(f);
     }
     try {

@@ -19,7 +19,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "fault/fault_injector.h"  // kFaultsCompiled
 #include "filter/filter_registry.h"
 #include "filter/params.h"
 
@@ -55,7 +54,7 @@ struct ControlFixture {
     config.clock = &clock;
     config.policy_low = 3e6;
     config.policy_high = 6e6;
-    if (arm_health && kFaultsCompiled) {
+    if (arm_health) {
       config.router.health.stance = UnhealthyStance::kFailOpen;
     }
     datapath = std::make_unique<LiveDatapath>(
@@ -227,7 +226,7 @@ TEST(ControlProtocol, UnhealthyStanceGating) {
     EXPECT_EQ(reply.rfind("ERR unsupported:health", 0), 0u) << reply;
     ::close(fd);
   }
-  if (kFaultsCompiled) {
+  {
     ControlFixture fx{"bitmap", /*arm_health=*/true};
     const int fd = fx.connect();
     EXPECT_EQ(fx.roundtrip(fd, "set on-unhealthy fail-closed\n"),

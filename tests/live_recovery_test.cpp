@@ -307,7 +307,6 @@ TEST(CheckpointRestore, StaleGenerationSkippedWhenNowProvided) {
 }
 
 TEST(CheckpointRestore, FaultInjectedCorruptionFallsBackOneGeneration) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const std::string dir = temp_dir("ckpt_fault");
   BitmapFilterConfig config;
   config.log2_bits = 10;
@@ -678,7 +677,6 @@ TEST(LiveReload, UnchangedConfigReloadIsByteIdentical) {
 // Capture supervision
 
 TEST(CaptureResilience, KillReattachesAndConservesFrames) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const GeneratedTrace& generated = conformance_trace();
   const LiveRunOptions options;
   const FilterSpec spec = small_bitmap_spec();
@@ -729,7 +727,6 @@ TEST(CaptureResilience, KillReattachesAndConservesFrames) {
 }
 
 TEST(CaptureResilience, StallBuffersAndCatchesUp) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const GeneratedTrace& generated = conformance_trace();
   const LiveRunOptions options;
   const FilterSpec spec = small_bitmap_spec();

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "filter/bitmap_filter.h"
 #include "filter/naive_filter.h"
+#include "sim/replay.h"
 
 namespace upbound {
 namespace {
@@ -155,14 +158,30 @@ TEST(EdgeRouter, RedPolicyKicksInWithThroughput) {
 
 TEST(EdgeRouter, SeriesAccumulatePassedBytes) {
   auto router = make_router(0.0);
-  router->process(pkt(out_conn(), 0.5, 1000));
-  router->process(pkt(in_conn(), 1.5, 2000));
-  const TimeSeries& out_series = router->passed_outbound_series();
-  const TimeSeries& in_series = router->passed_inbound_series();
-  ASSERT_GE(out_series.bucket_count(), 1u);
-  EXPECT_DOUBLE_EQ(out_series.bucket_value(0), 1000.0 + 54.0);
-  ASSERT_GE(in_series.bucket_count(), 2u);
-  EXPECT_DOUBLE_EQ(in_series.bucket_value(1), 2000.0 + 54.0);
+  const Trace trace{pkt(out_conn(), 0.5, 1000), pkt(in_conn(), 1.5, 2000)};
+  const ReplayResult result = replay_trace(trace, *router, campus());
+  EXPECT_DOUBLE_EQ(result.passed_outbound.bucket_value(0), 1000.0 + 54.0);
+  EXPECT_DOUBLE_EQ(result.passed_inbound.bucket_value(1), 2000.0 + 54.0);
+}
+
+TEST(EdgeRouter, ImpureFilterClockAdvancesWithinInboundRun) {
+  // hierarchical's lookup touches its LRU, so the router looks it up
+  // inline rather than batched; its clock must still advance packet by
+  // packet, or a mark would outlive its k*dt window inside one long
+  // inbound run.
+  EdgeRouterConfig config;
+  config.network = campus();
+  EdgeRouter router{config,
+                    make_state_filter(FilterRegistry::instance().parse(
+                        "hierarchical", MapFilterArgs{})),
+                    std::make_unique<ConstantDropPolicy>(1.0)};
+  router.process(pkt(out_conn(), 0.0));
+  const Trace run{pkt(out_conn().inverse(), 0.5),
+                  pkt(out_conn().inverse(), 60.0)};
+  std::array<RouterDecision, 2> decisions;
+  router.process_batch(run, decisions);
+  EXPECT_EQ(decisions[0], RouterDecision::kPassedInbound);
+  EXPECT_EQ(decisions[1], RouterDecision::kDroppedByPolicy);
 }
 
 TEST(EdgeRouter, DropRateComputation) {

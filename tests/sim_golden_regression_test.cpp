@@ -13,8 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <sstream>
 
+#include "filter/filter_registry.h"
+#include "sim/replay.h"
 #include "trace/campus.h"
+#include "util/hash.h"
+#include "util/metrics_export.h"
 
 namespace upbound {
 namespace {
@@ -139,8 +144,8 @@ TEST(SimGoldenRegression, BatchedBankMatchesLockedMetrics) {
 // --- Locked per-stage counters (same reference run; exact) ---
 // These pin the datapath's internal event accounting, not just its
 // outcomes: a refactor that preserves decisions but changes how often a
-// stage fires (e.g. counting speculative filter lookups the scalar path
-// never performs) shows up here. state.lookups counts only packets that
+// stage fires (e.g. counting speculative filter lookups for packets the
+// blocklist drops) shows up here. state.lookups counts only packets that
 // survive the blocklist, so lookups == hits + misses by construction.
 constexpr std::uint64_t kGoldenStateLookups = 26'227;
 constexpr std::uint64_t kGoldenStateHits = 25'050;
@@ -191,6 +196,119 @@ TEST(SimGoldenRegression, StageCountersMatchLockedSnapshot) {
             value("policy.drops") + value("policy.passes"));
   EXPECT_LE(value("blocklist.hits"), value("blocklist.lookups"));
 }
+
+// --- Locked router paths (exact) ---
+// One row per way a packet can travel through EdgeRouter besides the
+// blocklisted pure-filter run above: filters whose inbound lookup has
+// side effects (spi, hierarchical), a pure filter with the blocklist off,
+// and traces with timestamps stepped backwards (clamped packets). Each
+// row locks the whole EdgeRouterStats -- fields, stage counters, tenant
+// slices -- and the deterministic metrics as digests of their canonical
+// text, plus the replay series totals.
+struct PathRow {
+  const char* filter;
+  bool blocklist;
+  bool reorder;
+  std::uint64_t stats_digest;
+  std::uint64_t metrics_digest;
+  std::array<std::uint64_t, 4> series_totals;  // offered out/in, passed out/in
+};
+
+std::string stats_text(const EdgeRouterStats& s) {
+  std::ostringstream out;
+  out << s.outbound_packets << ' ' << s.outbound_bytes << ' '
+      << s.inbound_passed_packets << ' ' << s.inbound_passed_bytes << ' '
+      << s.inbound_dropped_packets << ' ' << s.inbound_dropped_bytes << ' '
+      << s.blocked_drops << ' ' << s.suppressed_outbound_packets << ' '
+      << s.suppressed_outbound_bytes << ' ' << s.ignored_packets << ' '
+      << s.out_of_order_packets << '\n';
+  for (const CounterSample& c : s.stage_counters) {
+    out << c.name << ' ' << c.value << '\n';
+  }
+  for (const auto& [id, t] : s.tenants) {
+    out << id << ": " << t.outbound_packets << ' ' << t.outbound_bytes << ' '
+        << t.inbound_passed_packets << ' ' << t.inbound_passed_bytes << ' '
+        << t.inbound_dropped_packets << ' ' << t.inbound_dropped_bytes << ' '
+        << t.blocked_drops << ' ' << t.policy_drops << ' '
+        << t.suppressed_outbound_packets << ' '
+        << t.suppressed_outbound_bytes << '\n';
+  }
+  return out.str();
+}
+
+std::uint64_t digest(const std::string& text) {
+  return fnv1a64({reinterpret_cast<const std::uint8_t*>(text.data()),
+                  text.size()});
+}
+
+class SimGoldenPaths : public ::testing::TestWithParam<PathRow> {};
+
+TEST_P(SimGoldenPaths, RouterPathMatchesLockedStats) {
+  const PathRow& row = GetParam();
+  Trace trace = golden_trace().packets;
+  if (row.reorder) {
+    // Every 97th packet steps 1.5 s back, as a rewritten capture would;
+    // every 89th is sent to its own source, so the router ignores it
+    // (some of those are clamped too).
+    for (std::size_t i = 40; i < trace.size(); i += 97) {
+      trace[i].timestamp = trace[i].timestamp - Duration::sec(1.5);
+    }
+    for (std::size_t i = 3; i < trace.size(); i += 89) {
+      trace[i].tuple.dst_addr = trace[i].tuple.src_addr;
+    }
+  }
+  EdgeRouterConfig config;
+  config.network = golden_trace().network;
+  config.track_blocked_connections = row.blocklist;
+  config.tenancy.enabled = true;
+  EdgeRouter router{config,
+                    make_state_filter(FilterRegistry::instance().parse(
+                        row.filter, MapFilterArgs{})),
+                    std::make_unique<RedDropPolicy>(2e5, 8e5)};
+  const ReplayResult result = replay_trace(trace, router, config.network);
+
+  const std::string text = stats_text(result.stats);
+  const std::string metrics = metrics_to_json(
+      result.metrics.deterministic(), "final", SimTime::origin());
+  std::printf("%s: stats %#llx metrics %#llx\n", row.filter,
+              (unsigned long long)digest(text),
+              (unsigned long long)digest(metrics));
+  EXPECT_EQ(digest(text), row.stats_digest) << text;
+  EXPECT_EQ(digest(metrics), row.metrics_digest) << metrics;
+  const std::array<std::uint64_t, 4> totals{
+      static_cast<std::uint64_t>(result.offered_outbound.total()),
+      static_cast<std::uint64_t>(result.offered_inbound.total()),
+      static_cast<std::uint64_t>(result.passed_outbound.total()),
+      static_cast<std::uint64_t>(result.passed_inbound.total())};
+  EXPECT_EQ(totals, row.series_totals);
+
+  // Each row exercises what it is there for.
+  EXPECT_GT(result.stats.inbound_dropped_packets, 0u);
+  EXPECT_GT(result.stats.tenants.size(), 1u);
+  EXPECT_EQ(result.stats.out_of_order_packets > 0, row.reorder);
+  EXPECT_EQ(result.stats.ignored_packets > 0, row.reorder);
+  EXPECT_EQ(result.stats.blocked_drops > 0, row.blocklist);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Locked, SimGoldenPaths,
+    ::testing::Values(
+        PathRow{"spi", true, false, 0x829fb26af78dccc1, 0x1756f257e3ae628a,
+                {49'864'846, 7'259'228, 46'545'205, 7'125'058}},
+        PathRow{"hierarchical", true, false, 0x686e6d9cc3e25be3,
+                0x61e3ca1609f375a2,
+                {49'864'846, 7'259'228, 46'102'777, 7'119'783}},
+        PathRow{"bitmap-blocked", false, false, 0xc39ae661c6bd2e4e,
+                0x53d685979c536799,
+                {49'864'846, 7'259'228, 49'864'846, 7'253'481}},
+        PathRow{"bitmap-blocked", true, true, 0xf853ae00b9b54c98,
+                0xfbec60ec12e7dc5b,
+                {49'329'739, 7'166'131, 46'039'095, 7'042'793}},
+        PathRow{"spi", true, true, 0xa8fce5691739b02b, 0xfb24cd1e1d3db987,
+                {49'329'739, 7'166'131, 45'681'100, 7'023'506}},
+        PathRow{"hierarchical", false, true, 0xa2406f612a11c0dd,
+                0xeecda9f755331733,
+                {49'329'739, 7'166'131, 49'329'739, 7'160'438}}));
 
 TEST(SimGoldenRegression, ScalarAndBatchedBankAgreeExactly) {
   const GoldenMetrics batched = run_bank(/*batched=*/true);

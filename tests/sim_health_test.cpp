@@ -4,7 +4,6 @@
 // stateless-inbound verdict (fail-open admits, fail-closed drops).
 #include <gtest/gtest.h>
 
-#include "fault/fault_injector.h"  // kFaultsCompiled
 #include "fault/health_monitor.h"
 #include "filter/bitmap_filter.h"
 #include "filter/drop_policy.h"
@@ -144,7 +143,6 @@ TEST(RouterHealth, DisabledStanceExposesNoHealthSurface) {
 }
 
 TEST(RouterHealth, SaturationDegradesTheRouter) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   auto router = health_router(UnhealthyStance::kFailOpen);
   ASSERT_NE(router->health(), nullptr);
   EXPECT_FALSE(router->health()->degraded());
@@ -167,7 +165,6 @@ TEST(RouterHealth, SaturationDegradesTheRouter) {
 }
 
 TEST(RouterHealth, FailOpenAdmitsStatelessInboundWhileDegraded) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   auto router = health_router(UnhealthyStance::kFailOpen);
   saturate(*router);
   router->process(pkt(out_conn(1000), 1.0));
@@ -181,7 +178,6 @@ TEST(RouterHealth, FailOpenAdmitsStatelessInboundWhileDegraded) {
 }
 
 TEST(RouterHealth, FailClosedDropsWithoutPolicyOrBlocklistSideEffects) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   auto router = health_router(UnhealthyStance::kFailClosed);
   saturate(*router);
   router->process(pkt(out_conn(1000), 1.0));
@@ -208,7 +204,6 @@ TEST(RouterHealth, FailClosedDropsWithoutPolicyOrBlocklistSideEffects) {
 }
 
 TEST(RouterHealth, HealthyRouterBehavesExactlyLikeDisabled) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   // With a sky-high threshold the monitor never trips; decisions and
   // stats must match a router with the feature off entirely.
   auto enabled = health_router(UnhealthyStance::kFailClosed, 0.99);
@@ -238,7 +233,6 @@ TEST(RouterHealth, HealthyRouterBehavesExactlyLikeDisabled) {
 }
 
 TEST(RouterHealth, OccupancyBlindBackendCountsSkippedSamples) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   // The aging backend has no kCapOccupancy: an armed health monitor runs
   // blind on the saturation signal and says so via a counter instead of
   // silently reporting "healthy".
@@ -274,7 +268,6 @@ TEST(RouterHealth, OccupancyBlindBackendCountsSkippedSamples) {
 }
 
 TEST(RouterHealth, RegressedClocksCanDegradeTheRouter) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   EdgeRouterConfig config;
   config.network = campus();
   config.health.stance = UnhealthyStance::kFailClosed;

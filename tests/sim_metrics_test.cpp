@@ -69,22 +69,16 @@ TEST(SimMetrics, ReplaySurfacesRouterMetrics) {
   // Counters mirror the stats snapshot.
   EXPECT_EQ(result.metrics.counters, result.stats.stage_counters);
 
-  // Batch-size histogram: replay drives 256-packet chunks. Histograms are
-  // inert (present but empty) when telemetry is compiled out.
+  // Batch-size histogram: replay drives 256-packet chunks.
   const HistogramSample* batches =
       find_histogram(result.metrics, "batch.packets");
   ASSERT_NE(batches, nullptr);
-  if constexpr (kTelemetryCompiled) {
-    EXPECT_EQ(batches->count,
-              (trace.packets.size() + 255) / 256);
-    EXPECT_EQ(batches->sum, trace.packets.size());
-  } else {
-    EXPECT_EQ(batches->count, 0u);
-  }
+  EXPECT_EQ(batches->count, (trace.packets.size() + 255) / 256);
+  EXPECT_EQ(batches->sum, trace.packets.size());
 
   const HistogramSample* runs = find_histogram(result.metrics, "run.packets");
   ASSERT_NE(runs, nullptr);
-  if constexpr (kTelemetryCompiled) EXPECT_GT(runs->count, 0u);
+  EXPECT_GT(runs->count, 0u);
 
   // Gauges are refreshed from the live structures at snapshot time.
   bool saw_storage = false;
@@ -99,7 +93,6 @@ TEST(SimMetrics, ReplaySurfacesRouterMetrics) {
 }
 
 TEST(SimMetrics, WallClockHistogramsRecordedOnlyWithTiming) {
-  if constexpr (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   const GeneratedTrace& trace = shared_trace();
   for (const bool timing : {true, false}) {
     EdgeRouterConfig config;

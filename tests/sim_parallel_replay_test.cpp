@@ -178,6 +178,46 @@ TEST(ParallelReplay, MergedOfferedLoadMatchesTrace) {
   EXPECT_EQ(total_packets(result.merged.stats), trace.packets.size());
 }
 
+TEST(ParallelReplay, EpochStampedTraceMatchesOriginStampedTrace) {
+  // Real captures carry Unix-epoch stamps. 1.7e9 s is a whole number of
+  // rotation intervals, meter slots and series buckets, so the shifted
+  // trace must replay to exactly the same stats -- without sizing any
+  // series from the origin (1.7e9 one-second buckets would be 13.6 GB).
+  const GeneratedTrace& trace = shared_trace();
+  const Duration shift = Duration::sec(1'700'000'000.0);
+  Trace shifted = trace.packets;
+  for (PacketRecord& pkt : shifted) pkt.timestamp = pkt.timestamp + shift;
+  const ShardRouterFactory factory = [](const ClientNetwork& network,
+                                        std::size_t shard) {
+    return std::make_unique<EdgeRouter>(
+        shard_config(network, shard, /*blocklist=*/true),
+        make_state_filter(bitmap_filter_spec(BitmapFilterConfig{})),
+        std::make_unique<RedDropPolicy>(3e6, 6e6));
+  };
+
+  const auto sequential = [&](const Trace& packets) {
+    const std::unique_ptr<EdgeRouter> router = factory(trace.network, 0);
+    return replay_trace(packets, *router, trace.network);
+  };
+  const ReplayResult origin = sequential(trace.packets);
+  const ReplayResult epoch = sequential(shifted);
+  EXPECT_EQ(epoch.stats, origin.stats);
+  EXPECT_EQ(epoch.passed_outbound.total(), origin.passed_outbound.total());
+  EXPECT_EQ(epoch.passed_inbound.first_bucket(),
+            origin.passed_inbound.first_bucket() + 1'700'000'000u);
+
+  ParallelReplayConfig config;
+  config.threads = 2;
+  const ParallelReplayResult parallel_origin =
+      parallel_replay(trace.packets, trace.network, factory, config);
+  const ParallelReplayResult parallel_epoch =
+      parallel_replay(shifted, trace.network, factory, config);
+  EXPECT_EQ(parallel_epoch.merged.stats, parallel_origin.merged.stats);
+  EXPECT_EQ(parallel_epoch.lost_packets, 0u);
+  EXPECT_EQ(parallel_epoch.unroutable_packets, 0u);
+  EXPECT_EQ(total_packets(parallel_epoch.merged.stats), shifted.size());
+}
+
 TEST(ParallelReplay, SharedFilterModeConservesPackets) {
   const GeneratedTrace& trace = shared_trace();
 

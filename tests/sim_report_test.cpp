@@ -73,6 +73,15 @@ TEST(Report, ThroughputSeriesRendersBuckets) {
   EXPECT_NE(out.find("peak 2.00 Mbps"), std::string::npos);
 }
 
+TEST(Report, ThroughputSeriesStartsAtFirstStoredBucket) {
+  TimeSeries a{Duration::sec(1.0)};
+  a.add(SimTime::from_sec(1'700'000'000.5), 125'000.0);
+  const std::string out = report::throughput_series({{"x", &a}});
+  EXPECT_NE(out.find("  1700000000            1.00\n"), std::string::npos)
+      << out;
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3);
+}
+
 TEST(Report, ThroughputSeriesSubsamplesLongRuns) {
   TimeSeries a{Duration::sec(1.0)};
   for (int i = 0; i < 1000; ++i) a.add(SimTime::from_sec(i + 0.5), 1000.0);

@@ -1,11 +1,10 @@
-// Differential stage-counter regression: the batched datapath and the
-// scalar batch-of-1 path must produce bit-identical stats AND bit-identical
+// Differential stage-counter regression: 256-packet batches and
+// batches of one must produce bit-identical stats AND bit-identical
 // per-stage counters for every filter implementation, with blocklisting
 // enabled so the blocklist/state stage interleaving is exercised. This
-// pins the fix for the inbound pure-lookup path over-counting
-// state.lookups on blocklist-dropped packets (the speculative batched
-// lookup still runs for them, but the scalar path never consults the
-// filter for a blocked packet, so they were counted differently).
+// pins state.lookups to the packets that reach the state stage: the
+// speculative batched lookup of a pure filter also runs for
+// blocklist-dropped packets, and must not be counted for them.
 #include <gtest/gtest.h>
 
 #include <array>

@@ -161,7 +161,6 @@ TEST(TenantIsolation, ShardedTenantStatsAreThreadCountInvariant) {
 }
 
 TEST(TenantIsolation, FaultFailoverKeepsTenantMergeDeterministic) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "fault plane compiled out";
   const TenantScenarioTrace trace =
       generate_tenant_scenario(TenantScenarioKind::kSwarmJoin,
                                swarm_config(32.0));

@@ -155,6 +155,36 @@ TEST(TimeSeries, BucketStart) {
   EXPECT_EQ(ts.bucket_start(2), SimTime::from_sec(10.0));
 }
 
+TEST(TimeSeries, FarFromOriginStoresOnlyItsSpan) {
+  // A Unix-epoch capture: storage covers the populated span, while bucket
+  // indices stay absolute (counted from the origin).
+  const SimTime epoch = SimTime::from_sec(1'700'000'000.0);
+  TimeSeries a{Duration::sec(1.0)};
+  a.add(epoch + Duration::sec(2.5), 3.0);
+  a.add(epoch + Duration::sec(0.5), 1.0);  // before the first bucket
+  EXPECT_EQ(a.first_bucket(), 1'700'000'000u);
+  EXPECT_EQ(a.bucket_count(), 1'700'000'003u);
+  EXPECT_EQ(a.rates().size(), 3u);
+  EXPECT_DOUBLE_EQ(a.bucket_value(1'700'000'002), 3.0);
+  EXPECT_DOUBLE_EQ(a.bucket_value(1'700'000'001), 0.0);
+  EXPECT_DOUBLE_EQ(a.bucket_value(0), 0.0);
+  EXPECT_DOUBLE_EQ(a.total(), 4.0);
+
+  // Merge and equality align on the absolute index, whatever order the
+  // buckets were first touched in.
+  TimeSeries b{Duration::sec(1.0)};
+  b.add(epoch + Duration::sec(0.5), 1.0);
+  b.add(epoch + Duration::sec(2.5), 3.0);
+  EXPECT_EQ(a, b);
+  TimeSeries merged{Duration::sec(1.0)};
+  merged.add(epoch + Duration::sec(4.5), 2.0);
+  merged.add_series(a);
+  EXPECT_EQ(merged.first_bucket(), 1'700'000'000u);
+  EXPECT_DOUBLE_EQ(merged.bucket_value(1'700'000'004), 2.0);
+  EXPECT_DOUBLE_EQ(merged.total(), 6.0);
+  EXPECT_NE(merged, a);
+}
+
 TEST(TimeSeries, NegativeTimeIgnored) {
   TimeSeries ts{Duration::sec(1.0)};
   ts.add(SimTime::from_usec(-5), 1.0);
