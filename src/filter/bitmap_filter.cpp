@@ -1,5 +1,6 @@
 #include "filter/bitmap_filter.h"
 
+#include <array>
 #include <stdexcept>
 
 namespace upbound {
@@ -87,6 +88,20 @@ bool BitmapFilter::admits_inbound(const PacketRecord& pkt) {
     if (!current.test(j)) return false;
   }
   return true;
+}
+
+void BitmapFilter::prefetch(const PacketRecord& pkt, Direction dir) const {
+  std::array<std::size_t, 64> idx;  // validate() caps m at 64
+  const std::span<std::size_t> probes{idx.data(), config_.hash_count};
+  if (dir == Direction::kOutbound) {
+    hashes_.outbound_indexes(pkt.tuple, config_.key_mode, probes);
+    for (const auto& vector : vectors_) {
+      for (const std::size_t j : probes) vector.prefetch_for_set(j);
+    }
+  } else if (dir == Direction::kInbound) {
+    hashes_.inbound_indexes(pkt.tuple, config_.key_mode, probes);
+    for (const std::size_t j : probes) vectors_[idx_].prefetch_for_test(j);
+  }
 }
 
 void BitmapFilter::record_outbound_batch(PacketBatch batch) {

@@ -59,6 +59,9 @@ class BitmapFilter final : public StateFilter {
   void record_outbound_batch(PacketBatch batch) override;
   void admits_inbound_batch(PacketBatch batch,
                             std::span<bool> admits) override;
+  /// Prefetches the words the packet's probes touch: every vector for
+  /// an outbound mark, the current one for an inbound lookup.
+  void prefetch(const PacketRecord& pkt, Direction dir) const override;
   bool inbound_lookup_is_pure() const override { return true; }
   std::optional<double> occupancy_fraction() const override {
     return current_utilization();

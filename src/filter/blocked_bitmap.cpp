@@ -133,6 +133,17 @@ bool BlockedBitmapFilter::admits_inbound(const PacketRecord& pkt) {
   return test_with(hashes_.inbound_hash(pkt.tuple, config_.key_mode));
 }
 
+void BlockedBitmapFilter::prefetch(const PacketRecord& pkt,
+                                   Direction dir) const {
+  if (dir == Direction::kOutbound) {
+    bits_.prefetch_block_for_set_all(
+        block_of(hashes_.outbound_hash(pkt.tuple, config_.key_mode)));
+  } else if (dir == Direction::kInbound) {
+    bits_.prefetch_block_for_test(
+        block_of(hashes_.inbound_hash(pkt.tuple, config_.key_mode)), idx_);
+  }
+}
+
 void BlockedBitmapFilter::record_outbound_batch(PacketBatch batch) {
   std::size_t i = 0;
   while (i < batch.size()) {

@@ -44,6 +44,9 @@ class BlockedBitmapFilter final : public StateFilter {
   void record_outbound_batch(PacketBatch batch) override;
   void admits_inbound_batch(PacketBatch batch,
                             std::span<bool> admits) override;
+  /// Prefetches the packet's block: its all-columns streak for an
+  /// outbound mark, the current column's line for an inbound lookup.
+  void prefetch(const PacketRecord& pkt, Direction dir) const override;
   bool inbound_lookup_is_pure() const override { return true; }
   std::optional<double> occupancy_fraction() const override {
     return bits_.utilization(idx_);

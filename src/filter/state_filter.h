@@ -20,6 +20,7 @@
 #include <span>
 #include <string>
 
+#include "net/direction.h"
 #include "net/packet.h"
 #include "net/packet_batch.h"
 #include "util/time.h"
@@ -66,6 +67,15 @@ class StateFilter {
       admits[i] = admits_inbound(batch[i]);
     }
   }
+
+  /// Cache hint for a packet the caller will soon hand to
+  /// record_outbound (dir == kOutbound) or admits_inbound (kInbound): an
+  /// implementation may start the memory accesses that call will make.
+  /// It must have no observable effect -- a filter that receives hints
+  /// behaves exactly like one that never does -- and it is ignored for
+  /// any other direction. Default: nothing.
+  virtual void prefetch(const PacketRecord& /*pkt*/,
+                        Direction /*dir*/) const {}
 
   /// True when admits_inbound is a pure lookup: no observable state
   /// change, so callers may evaluate it speculatively for packets whose

@@ -1,9 +1,11 @@
 #include "sim/edge_router.h"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
 #include "tenant/hierarchical_filter.h"
+#include "util/prefetch.h"
 
 namespace upbound {
 
@@ -185,6 +187,15 @@ void EdgeRouter::process_batch(PacketBatch batch,
   if (tuner_.has_value()) tuner_poll();
   classify_batch(batch);
 
+  // Prefetch pass: a filter whose lookups are impure is called packet by
+  // packet, and the tenant ledger is probed per packet, so neither
+  // overlaps its own cache misses. Hints run kPrefetchLookahead packets
+  // ahead of the run being processed. Pure filters pipeline prefetches
+  // inside their batch calls and need no hint.
+  const bool filter_hints = !filter_->inbound_lookup_is_pure();
+  const bool hints = filter_hints || config_.tenancy.enabled;
+  std::size_t hinted = 0;
+
   PacketRecord clamped;
   std::size_t i = 0;
   while (i < batch.size()) {
@@ -229,6 +240,14 @@ void EdgeRouter::process_batch(PacketBatch batch,
       run = batch.subspan(i, j - i);
       hist_run_packets_.record(run.size());
     }
+    if (hints) {
+      const std::size_t ahead =
+          std::min(batch.size(), i + run.size() + kPrefetchLookahead);
+      if (ahead > hinted) {
+        prefetch_packets(batch, hinted, ahead, filter_hints);
+        hinted = ahead;
+      }
+    }
     const std::span<RouterDecision> run_decisions =
         decisions.subspan(i, run.size());
     if (dir == Direction::kOutbound) {
@@ -266,6 +285,24 @@ void EdgeRouter::classify_batch(PacketBatch batch) {
   ctr_classify_ignored_.inc(ignored);
   if (config_.stage_timing) {
     hist_classify_ns_.record(telemetry_clock_ns() - t0);
+  }
+}
+
+void EdgeRouter::prefetch_packets(PacketBatch batch, std::size_t from,
+                                  std::size_t to, bool filter_hints) const {
+  for (std::size_t p = from; p < to; ++p) {
+    const Direction dir = dirs_[p];
+    if (dir != Direction::kOutbound && dir != Direction::kInbound) continue;
+    const PacketRecord& pkt = batch[p];
+    if (filter_hints) filter_->prefetch(pkt, dir);
+    if (config_.tenancy.enabled) {
+      const TenantId tenant = dir == Direction::kOutbound
+                                  ? tenant_table_.tenant_of_outbound(pkt.tuple)
+                                  : tenant_table_.tenant_of_inbound(pkt.tuple);
+      if (const TenantLedger* entry = ledger_.find(tenant)) {
+        prefetch_write_lines(entry, sizeof(TenantLedger));
+      }
+    }
   }
 }
 
@@ -320,18 +357,29 @@ void EdgeRouter::process_outbound_run(PacketBatch run,
   // which cannot occur inside an outbound run.
   for (std::size_t p = 0; p < run.size(); ++p) {
     const PacketRecord& pkt = run[p];
+    TenantLedger* tenant =
+        config_.tenancy.enabled
+            ? &ledger_for(tenant_table_.tenant_of_outbound(pkt.tuple))
+            : nullptr;
     if (run_blocked_[p]) {
       ctr_blocklist_hits_.inc();
       ++stats_.suppressed_outbound_packets;
       stats_.suppressed_outbound_bytes += pkt.wire_size();
-      if (config_.tenancy.enabled) tenant_note_suppressed(pkt);
+      if (tenant != nullptr) {
+        ++tenant->stats.suppressed_outbound_packets;
+        tenant->stats.suppressed_outbound_bytes += pkt.wire_size();
+      }
       decisions[p] = RouterDecision::kDroppedBlocked;
       continue;
     }
     meter_.add(pkt.timestamp, pkt.wire_size());
     ++stats_.outbound_packets;
     stats_.outbound_bytes += pkt.wire_size();
-    if (config_.tenancy.enabled) tenant_note_outbound(pkt);
+    if (tenant != nullptr) {
+      tenant->meter.add(pkt.timestamp, pkt.wire_size());
+      ++tenant->stats.outbound_packets;
+      tenant->stats.outbound_bytes += pkt.wire_size();
+    }
     decisions[p] = RouterDecision::kPassedOutbound;
   }
   if (sample) hist_forward_ns_.record(telemetry_clock_ns() - forward_t0);
@@ -370,16 +418,17 @@ void EdgeRouter::process_inbound_run(PacketBatch run,
     // The batched lookup advanced a pure filter's clock through the whole
     // run; an impure one advances per packet, blocked or not.
     if (!pure) filter_->advance_time(now);
+    // Every inbound packet is attributed to its tenant, whatever the
+    // verdict, so the entry is fetched once up front.
+    TenantLedger* tenant =
+        config_.tenancy.enabled
+            ? &ledger_for(tenant_table_.tenant_of_inbound(pkt.tuple))
+            : nullptr;
     if (config_.track_blocked_connections) {
       ctr_blocklist_lookups_.inc();
       if (blocklist_.is_blocked(pkt.tuple, now)) {
         ctr_blocklist_hits_.inc();
-        ++stats_.inbound_dropped_packets;
-        stats_.inbound_dropped_bytes += pkt.wire_size();
-        ++stats_.blocked_drops;
-        if (config_.tenancy.enabled) {
-          tenant_note_inbound_dropped(pkt, /*blocked=*/true, /*policy=*/false);
-        }
+        drop_inbound(pkt, tenant, /*blocked=*/true, /*policy=*/false);
         decisions[p] = RouterDecision::kDroppedBlocked;
         continue;
       }
@@ -387,68 +436,47 @@ void EdgeRouter::process_inbound_run(PacketBatch run,
     ctr_state_lookups_.inc();
     if (pure ? admit_buf_[p] : filter_->admits_inbound(pkt)) {
       ctr_state_hits_.inc();
-      decisions[p] = admit_inbound(pkt);
+      decisions[p] = admit_inbound(pkt, tenant);
       continue;
     }
     ctr_state_misses_.inc();
-    decisions[p] = drop_or_pass_inbound(pkt, now);
+    decisions[p] = drop_or_pass_inbound(pkt, now, tenant);
   }
   if (sample) hist_policy_ns_.record(telemetry_clock_ns() - policy_t0);
 }
 
-RouterDecision EdgeRouter::admit_inbound(const PacketRecord& pkt) {
+RouterDecision EdgeRouter::admit_inbound(const PacketRecord& pkt,
+                                         TenantLedger* tenant) {
   ++stats_.inbound_passed_packets;
   stats_.inbound_passed_bytes += pkt.wire_size();
-  if (config_.tenancy.enabled) tenant_note_inbound_passed(pkt);
+  if (tenant != nullptr) {
+    ++tenant->stats.inbound_passed_packets;
+    tenant->stats.inbound_passed_bytes += pkt.wire_size();
+  }
   return RouterDecision::kPassedInbound;
 }
 
-BandwidthMeter& EdgeRouter::tenant_meter(TenantId tenant) {
-  const auto it = tenant_meters_.find(tenant);
-  if (it != tenant_meters_.end()) return it->second;
-  return tenant_meters_.try_emplace(tenant, config_.meter_window)
-      .first->second;
-}
-
-double EdgeRouter::tenant_uplink_bits_per_sec(TenantId tenant, SimTime now) {
-  const auto it = tenant_meters_.find(tenant);
-  return it == tenant_meters_.end() ? 0.0 : it->second.bits_per_sec(now);
-}
-
-void EdgeRouter::tenant_note_outbound(const PacketRecord& pkt) {
-  const TenantId tenant = tenant_table_.tenant_of_outbound(pkt.tuple);
-  tenant_meter(tenant).add(pkt.timestamp, pkt.wire_size());
-  TenantStats& slice = stats_.tenants[tenant];
-  ++slice.outbound_packets;
-  slice.outbound_bytes += pkt.wire_size();
-}
-
-void EdgeRouter::tenant_note_suppressed(const PacketRecord& pkt) {
-  TenantStats& slice =
-      stats_.tenants[tenant_table_.tenant_of_outbound(pkt.tuple)];
-  ++slice.suppressed_outbound_packets;
-  slice.suppressed_outbound_bytes += pkt.wire_size();
-}
-
-void EdgeRouter::tenant_note_inbound_passed(const PacketRecord& pkt) {
-  TenantStats& slice =
-      stats_.tenants[tenant_table_.tenant_of_inbound(pkt.tuple)];
-  ++slice.inbound_passed_packets;
-  slice.inbound_passed_bytes += pkt.wire_size();
-}
-
-void EdgeRouter::tenant_note_inbound_dropped(const PacketRecord& pkt,
-                                             bool blocked, bool policy) {
-  TenantStats& slice =
-      stats_.tenants[tenant_table_.tenant_of_inbound(pkt.tuple)];
+void EdgeRouter::drop_inbound(const PacketRecord& pkt, TenantLedger* tenant,
+                              bool blocked, bool policy) {
+  ++stats_.inbound_dropped_packets;
+  stats_.inbound_dropped_bytes += pkt.wire_size();
+  if (blocked) ++stats_.blocked_drops;
+  if (tenant == nullptr) return;
+  TenantStats& slice = tenant->stats;
   ++slice.inbound_dropped_packets;
   slice.inbound_dropped_bytes += pkt.wire_size();
   if (blocked) ++slice.blocked_drops;
   if (policy) ++slice.policy_drops;
 }
 
+double EdgeRouter::tenant_uplink_bits_per_sec(TenantId tenant, SimTime now) {
+  TenantLedger* entry = ledger_.find(tenant);
+  return entry == nullptr ? 0.0 : entry->uplink_bits_per_sec(now);
+}
+
 RouterDecision EdgeRouter::drop_or_pass_inbound(const PacketRecord& pkt,
-                                                SimTime now) {
+                                                SimTime now,
+                                                TenantLedger* tenant) {
   if (health_degraded_) {
     // Degraded: the miss that brought us here is no longer evidence (the
     // Eq. 2 chain is broken), so Eq. 1 is not evaluated and nothing is
@@ -456,14 +484,10 @@ RouterDecision EdgeRouter::drop_or_pass_inbound(const PacketRecord& pkt,
     // recovers.
     if (config_.health.stance == UnhealthyStance::kFailOpen) {
       ctr_health_fail_open_->inc();
-      return admit_inbound(pkt);
+      return admit_inbound(pkt, tenant);
     }
     ctr_health_fail_closed_->inc();
-    ++stats_.inbound_dropped_packets;
-    stats_.inbound_dropped_bytes += pkt.wire_size();
-    if (config_.tenancy.enabled) {
-      tenant_note_inbound_dropped(pkt, /*blocked=*/false, /*policy=*/false);
-    }
+    drop_inbound(pkt, tenant, /*blocked=*/false, /*policy=*/false);
     return RouterDecision::kDroppedByPolicy;
   }
   ctr_policy_evaluations_.inc();
@@ -472,19 +496,12 @@ RouterDecision EdgeRouter::drop_or_pass_inbound(const PacketRecord& pkt,
   // subscriber's upload burst cannot raise another subscriber's P_d.
   // Either way exactly one rng draw happens per evaluation, so decision
   // sequences stay reproducible for a given seed and packet stream.
-  const double uplink =
-      config_.tenancy.enabled
-          ? tenant_uplink_bits_per_sec(
-                tenant_table_.tenant_of_inbound(pkt.tuple), now)
-          : meter_.bits_per_sec(now);
+  const double uplink = tenant != nullptr ? tenant->uplink_bits_per_sec(now)
+                                          : meter_.bits_per_sec(now);
   const double p_drop = policy_->drop_probability(uplink);
   if (rng_.next_bool(p_drop)) {
     ctr_policy_drops_.inc();
-    ++stats_.inbound_dropped_packets;
-    stats_.inbound_dropped_bytes += pkt.wire_size();
-    if (config_.tenancy.enabled) {
-      tenant_note_inbound_dropped(pkt, /*blocked=*/false, /*policy=*/true);
-    }
+    drop_inbound(pkt, tenant, /*blocked=*/false, /*policy=*/true);
     if (config_.track_blocked_connections) {
       ctr_blocklist_inserts_.inc();
       blocklist_.block(pkt.tuple, now);
@@ -492,7 +509,7 @@ RouterDecision EdgeRouter::drop_or_pass_inbound(const PacketRecord& pkt,
     return RouterDecision::kDroppedByPolicy;
   }
   ctr_policy_passes_.inc();
-  return admit_inbound(pkt);
+  return admit_inbound(pkt, tenant);
 }
 
 TenantStats& TenantStats::merge(const TenantStats& other) {
@@ -533,6 +550,10 @@ EdgeRouterStats& EdgeRouterStats::merge(const EdgeRouterStats& other) {
 EdgeRouterStats EdgeRouter::stats() const {
   EdgeRouterStats out = stats_;
   out.stage_counters = metrics_.counters().snapshot();
+  for (TenantIndex<TenantLedger>::Position pos = 0; pos < ledger_.size();
+       ++pos) {
+    out.tenants.emplace(ledger_.key_at(pos), ledger_.value_at(pos).stats);
+  }
   return out;
 }
 
@@ -568,11 +589,10 @@ MetricsSnapshot EdgeRouter::metrics_snapshot() {
         .set(static_cast<double>(hier_->digest_admits()));
     // Per-tenant occupancy gauges, bounded so a flash crowd cannot blow
     // up the metrics namespace: beyond 32 live fine filters only the
-    // aggregate gauges above are emitted.
+    // aggregate gauges above are emitted, and no occupancy is computed.
     constexpr std::size_t kMaxTenantGauges = 32;
-    const auto occupancies = hier_->tenant_occupancies();
-    if (occupancies.size() <= kMaxTenantGauges) {
-      for (const auto& [tenant, occupancy] : occupancies) {
+    if (hier_->live_fine_filters() <= kMaxTenantGauges) {
+      for (const auto& [tenant, occupancy] : hier_->tenant_occupancies()) {
         metrics_
             .gauge("tenancy.occupancy." + tenant_table_.label(tenant))
             .set(occupancy);

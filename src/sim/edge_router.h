@@ -32,6 +32,7 @@
 #include "filter/state_filter.h"
 #include "net/direction.h"
 #include "net/packet_batch.h"
+#include "tenant/tenant_index.h"
 #include "tenant/tenant_table.h"
 #include "util/counters.h"
 #include "util/metrics.h"
@@ -225,7 +226,7 @@ class EdgeRouter {
   /// The tenant mapping in effect (valid regardless of tenancy.enabled).
   const TenantTable& tenant_table() const { return tenant_table_; }
   /// The tenant's uplink throughput estimate (its Eq. 1 input b). A
-  /// tenant with no meter yet -- no outbound traffic seen -- reads 0.
+  /// tenant with no outbound traffic seen reads 0.
   double tenant_uplink_bits_per_sec(TenantId tenant, SimTime now);
   /// The filter as a HierarchicalFilter when the backend is the
   /// two-level tenant filter, else nullptr. Telemetry-only seam: the
@@ -272,15 +273,48 @@ class EdgeRouter {
   /// Stage 1: direction per packet into dirs_, plus classify.* counters.
   void classify_batch(PacketBatch batch);
 
+  /// Prefetch pass: cache hints for batch packets [from, to) -- the
+  /// filter's own hint when `filter_hints`, and the tenant's ledger entry
+  /// when tenancy is on. Reads only: no ledger entry is created.
+  void prefetch_packets(PacketBatch batch, std::size_t from, std::size_t to,
+                        bool filter_hints) const;
+
   /// Stages 2-4 for a same-direction, time-sorted run.
   void process_outbound_run(PacketBatch run,
                             std::span<RouterDecision> decisions);
   void process_inbound_run(PacketBatch run,
                            std::span<RouterDecision> decisions);
 
-  // Inbound verdict bookkeeping.
-  RouterDecision admit_inbound(const PacketRecord& pkt);
-  RouterDecision drop_or_pass_inbound(const PacketRecord& pkt, SimTime now);
+  /// One per tenant a decision was attributed to: the tenant's decision
+  /// slice and its uplink meter (window = meter_window).
+  struct TenantLedger {
+    explicit TenantLedger(Duration meter_window) : meter(meter_window) {}
+    /// The tenant's Eq. 1 input. 0 until its first passed outbound
+    /// packet: the meter is not read (so not started) before it has
+    /// booked a byte.
+    double uplink_bits_per_sec(SimTime now) {
+      return stats.outbound_packets == 0 ? 0.0 : meter.bits_per_sec(now);
+    }
+    TenantStats stats;
+    BandwidthMeter meter;
+  };
+
+  /// The tenant's ledger entry, created on first touch. Only called when
+  /// tenancy is enabled; the returned reference is valid until the next
+  /// call.
+  TenantLedger& ledger_for(TenantId tenant) {
+    return ledger_.find_or_insert(tenant, config_.meter_window);
+  }
+
+  // Inbound verdict bookkeeping. `tenant` is the packet's ledger entry,
+  // nullptr when tenancy is disabled.
+  RouterDecision admit_inbound(const PacketRecord& pkt, TenantLedger* tenant);
+  /// Books an inbound drop in the aggregate stats and the tenant's slice;
+  /// `blocked` / `policy` say whether the blocklist or Eq. 1 dropped it.
+  void drop_inbound(const PacketRecord& pkt, TenantLedger* tenant,
+                    bool blocked, bool policy);
+  RouterDecision drop_or_pass_inbound(const PacketRecord& pkt, SimTime now,
+                                      TenantLedger* tenant);
 
   /// Health sampling, once per batch: feeds occupancy and any meter clamp
   /// events accumulated since the last poll into the monitor and mirrors
@@ -292,17 +326,6 @@ class EdgeRouter {
   /// so sampling is deterministic for a given packet/batch sequence.
   void tuner_poll();
 
-  /// Tenancy attribution. Only called when tenancy is enabled; the
-  /// packet's timestamp must already be monotonic (callers clamp before
-  /// attributing).
-  void tenant_note_outbound(const PacketRecord& pkt);
-  void tenant_note_suppressed(const PacketRecord& pkt);
-  void tenant_note_inbound_passed(const PacketRecord& pkt);
-  void tenant_note_inbound_dropped(const PacketRecord& pkt,
-                                   bool blocked, bool policy);
-  /// The tenant's meter, created on first touch (window = meter_window).
-  BandwidthMeter& tenant_meter(TenantId tenant);
-
   EdgeRouterConfig config_;
   std::unique_ptr<StateFilter> filter_;
   std::unique_ptr<DropPolicy> policy_;
@@ -310,9 +333,9 @@ class EdgeRouter {
   /// Tuple -> tenant mapping; constructed always (it is stateless and
   /// cheap), consulted only when tenancy is enabled.
   TenantTable tenant_table_;
-  /// Per-tenant uplink meters backing the per-tenant Eq. 1 input.
-  /// Ordered so metrics iteration is deterministic.
-  std::map<TenantId, BandwidthMeter> tenant_meters_;
+  /// Per-tenant decision slices and uplink meters; one index probe per
+  /// packet reaches both. stats() orders the slices by TenantId.
+  TenantIndex<TenantLedger> ledger_;
   /// Set iff the filter is the hierarchical tenant backend; feeds the
   /// tenancy.* gauges in metrics_snapshot().
   HierarchicalFilter* hier_ = nullptr;
@@ -390,6 +413,10 @@ class EdgeRouter {
   /// stay unsampled. The tick advances with the run sequence only -- no
   /// clock value feeds it -- so sampling preserves decision purity.
   static constexpr std::uint64_t kTimingSamplePeriod = 32;
+  /// How many packets ahead of the one being processed the prefetch pass
+  /// hints: far enough for a DRAM miss to land, near enough that the
+  /// lines are still in L1 when the packet arrives.
+  static constexpr std::size_t kPrefetchLookahead = 8;
   std::uint64_t timing_tick_ = 0;
 
   // Reused per-batch scratch; capacity persists so the steady-state

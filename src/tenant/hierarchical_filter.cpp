@@ -68,37 +68,71 @@ void HierarchicalFilter::advance_time(SimTime now) {
 
 HierarchicalFilter::TenantEntry* HierarchicalFilter::live_entry(
     TenantId tenant) {
-  const auto it = entries_.find(tenant);
-  if (it == entries_.end()) return nullptr;
-  TenantEntry& entry = it->second;
-  entry.fine->advance_time(clock_);
-  if (entry.lru != lru_.begin()) {
-    lru_.splice(lru_.begin(), lru_, entry.lru);
+  TenantEntry* entry = tenants_.find(tenant);
+  if (entry == nullptr || entry->fine == nullptr) return nullptr;
+  entry->fine->advance_time(clock_);
+  const Position pos = tenants_.position_of(*entry);
+  if (pos != lru_head_) {
+    lru_unlink(pos);
+    lru_push_front(pos);
   }
-  return &entry;
+  return entry;
 }
 
 HierarchicalFilter::TenantEntry& HierarchicalFilter::entry_for(
     TenantId tenant) {
   if (TenantEntry* live = live_entry(tenant)) return *live;
-  if (entries_.size() >= config_.fine_cap) {
-    const TenantId victim = lru_.back();
-    lru_.pop_back();
-    entries_.erase(victim);
-    ++evictions_;
-  }
-  lru_.push_front(tenant);
-  TenantEntry& entry = entries_[tenant];
+  if (live_ >= config_.fine_cap) evict_lru();
+  // Insertion may move other entries; positions stay valid.
+  TenantEntry& entry = tenants_.find_or_insert(tenant);
+  lru_push_front(tenants_.position_of(entry));
+  ++live_;
   entry.fine = make_state_filter(config_.fine);
   entry.fine->advance_time(clock_);
-  entry.lru = lru_.begin();
   ++instantiations_;
   return entry;
 }
 
+void HierarchicalFilter::lru_unlink(Position pos) {
+  TenantEntry& entry = tenants_.value_at(pos);
+  if (entry.prev != kNil) {
+    tenants_.value_at(entry.prev).next = entry.next;
+  } else {
+    lru_head_ = entry.next;
+  }
+  if (entry.next != kNil) {
+    tenants_.value_at(entry.next).prev = entry.prev;
+  } else {
+    lru_tail_ = entry.prev;
+  }
+  entry.prev = kNil;
+  entry.next = kNil;
+}
+
+void HierarchicalFilter::lru_push_front(Position pos) {
+  TenantEntry& entry = tenants_.value_at(pos);
+  entry.prev = kNil;
+  entry.next = lru_head_;
+  if (lru_head_ != kNil) {
+    tenants_.value_at(lru_head_).prev = pos;
+  } else {
+    lru_tail_ = pos;
+  }
+  lru_head_ = pos;
+}
+
+void HierarchicalFilter::evict_lru() {
+  const Position victim = lru_tail_;
+  lru_unlink(victim);
+  TenantEntry& entry = tenants_.value_at(victim);
+  entry.fine.reset();
+  entry.digest.reset();
+  --live_;
+  ++evictions_;
+}
+
 void HierarchicalFilter::record_outbound(const PacketRecord& pkt) {
   const TenantId tenant = table_.tenant_of_outbound(pkt.tuple);
-  seen_.insert(tenant);
   if (short_circuit_) front_->record_outbound(pkt);
   TenantEntry& entry = entry_for(tenant);
   entry.fine->record_outbound(pkt);
@@ -133,9 +167,26 @@ bool HierarchicalFilter::admits_inbound(const PacketRecord& pkt) {
   return verdict;
 }
 
+void HierarchicalFilter::prefetch(const PacketRecord& pkt,
+                                  Direction dir) const {
+  const bool outbound = dir == Direction::kOutbound;
+  if (!outbound && dir != Direction::kInbound) return;
+  if (short_circuit_) front_->prefetch(pkt, dir);
+  const TenantId tenant = outbound ? table_.tenant_of_outbound(pkt.tuple)
+                                   : table_.tenant_of_inbound(pkt.tuple);
+  const TenantEntry* entry = tenants_.find(tenant);
+  if (entry == nullptr || entry->fine == nullptr) return;
+  entry->fine->prefetch(pkt, dir);
+  if (outbound && entry->digest.has_value()) {
+    entry->digest->prefetch_outbound(pkt.tuple);
+  }
+}
+
 std::size_t HierarchicalFilter::storage_bytes() const {
   std::size_t total = front_->storage_bytes();
-  for (const auto& [tenant, entry] : entries_) {
+  for (Position pos = lru_head_; pos != kNil;
+       pos = tenants_.value_at(pos).next) {
+    const TenantEntry& entry = tenants_.value_at(pos);
     total += entry.fine->storage_bytes();
     if (entry.digest.has_value()) {
       total += entry.digest->config().words() * 8;
@@ -148,12 +199,15 @@ std::size_t HierarchicalFilter::storage_bytes() const {
 }
 
 std::vector<std::pair<TenantId, double>>
-HierarchicalFilter::tenant_occupancies() const {
+HierarchicalFilter::tenant_occupancies() {
   std::vector<std::pair<TenantId, double>> out;
-  out.reserve(entries_.size());
-  for (const auto& [tenant, entry] : entries_) {
+  out.reserve(live_);
+  for (Position pos = lru_head_; pos != kNil;
+       pos = tenants_.value_at(pos).next) {
+    TenantEntry& entry = tenants_.value_at(pos);
+    entry.fine->advance_time(clock_);
     if (const std::optional<double> occ = entry.fine->occupancy_fraction()) {
-      out.emplace_back(tenant, *occ);
+      out.emplace_back(tenants_.key_at(pos), *occ);
     }
   }
   std::sort(out.begin(), out.end());
@@ -162,12 +216,10 @@ HierarchicalFilter::tenant_occupancies() const {
 
 std::optional<StateDigest> HierarchicalFilter::local_digest(
     TenantId tenant) const {
-  const auto it = entries_.find(tenant);
-  if (it == entries_.end() || !it->second.digest.has_value()) {
-    return std::nullopt;
-  }
-  if (it->second.digest->epoch() != epoch_of(clock_)) return std::nullopt;
-  return *it->second.digest;
+  const TenantEntry* entry = tenants_.find(tenant);
+  if (entry == nullptr || !entry->digest.has_value()) return std::nullopt;
+  if (entry->digest->epoch() != epoch_of(clock_)) return std::nullopt;
+  return *entry->digest;
 }
 
 std::optional<StateDigest> HierarchicalFilter::combined_digest(

@@ -3,7 +3,9 @@
 // fine filters -- lazily instantiated through the FilterRegistry, so any
 // registered backend works as the fine tier -- give per-subscriber
 // verdicts and isolation. Live fine filters are LRU-capped; optional
-// per-tenant StateDigests support the inter-router exchange path.
+// per-tenant StateDigests support the inter-router exchange path. All
+// per-tenant state -- fine filter, digest, LRU links -- sits in one entry
+// of a flat TenantIndex, so a packet reaches it with one probe.
 //
 // Verdict semantics (the differential contract tested against a flat
 // one-filter-per-tenant oracle):
@@ -26,18 +28,17 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "filter/filter_registry.h"
 #include "filter/state_filter.h"
 #include "tenant/state_digest.h"
+#include "tenant/tenant_index.h"
 #include "tenant/tenant_table.h"
 
 namespace upbound {
@@ -75,6 +76,11 @@ class HierarchicalFilter final : public StateFilter {
   void advance_time(SimTime now) override;
   void record_outbound(const PacketRecord& pkt) override;
   bool admits_inbound(const PacketRecord& pkt) override;
+  /// Cache hint: the front block (when the short-circuit consults it),
+  /// the tenant's index slot and entry, its fine filter's block and, for
+  /// outbound packets, the digest words the mark will set. Read-only: no
+  /// entry is created and LRU recency is not touched.
+  void prefetch(const PacketRecord& pkt, Direction dir) const override;
   /// Lookups touch LRU recency (and may short-circuit on the front), so
   /// they are not pure; the router uses the exact scalar interleaving.
   bool inbound_lookup_is_pure() const override { return false; }
@@ -93,15 +99,20 @@ class HierarchicalFilter final : public StateFilter {
   bool front_short_circuit() const { return short_circuit_; }
 
   // Tenancy introspection (telemetry gauges, control socket).
-  std::size_t tenant_count() const { return seen_.size(); }
-  std::size_t live_fine_filters() const { return entries_.size(); }
+  /// Tenants ever marked, evicted ones included.
+  std::size_t tenant_count() const { return tenants_.size(); }
+  std::size_t live_fine_filters() const { return live_; }
   std::uint64_t fine_instantiations() const { return instantiations_; }
   std::uint64_t fine_evictions() const { return evictions_; }
   std::uint64_t front_absorbed() const { return front_absorbed_; }
   std::uint64_t digest_admits() const { return digest_admits_; }
   /// (tenant, occupancy) for live fine filters reporting one, sorted by
-  /// tenant id (deterministic regardless of map order).
-  std::vector<std::pair<TenantId, double>> tenant_occupancies() const;
+  /// tenant id (deterministic regardless of insertion order). Each filter
+  /// is first advanced to the filter clock -- fine filters otherwise
+  /// advance only when their tenant is touched, and an idle tenant would
+  /// report marks its window has long expired. The catch-up is the one
+  /// the next access would make, so verdicts are unaffected. O(live).
+  std::vector<std::pair<TenantId, double>> tenant_occupancies();
 
   // Inter-router digest exchange. Epochs advance every fine_window so
   // exchanged digests age out with the state they summarize.
@@ -119,10 +130,19 @@ class HierarchicalFilter final : public StateFilter {
   DigestError apply_digest(const StateDigest& remote);
 
  private:
+  /// Index position; kNil ends the LRU list.
+  using Position = std::uint32_t;
+  static constexpr Position kNil = ~Position{0};
+
+  /// One per tenant ever marked. A live entry holds a fine filter and is
+  /// linked into the LRU list; eviction drops the filter and the digest
+  /// and unlinks the entry, which stays in the index so the tenant still
+  /// counts as seen.
   struct TenantEntry {
     std::unique_ptr<StateFilter> fine;
     std::optional<StateDigest> digest;
-    std::list<TenantId>::iterator lru;  // position in lru_
+    Position prev = kNil;  // toward the most recently used end
+    Position next = kNil;  // toward the least recently used end
   };
 
   std::uint64_t epoch_of(SimTime now) const;
@@ -132,14 +152,21 @@ class HierarchicalFilter final : public StateFilter {
   /// live_entry, instantiating (and evicting at the cap) when absent.
   TenantEntry& entry_for(TenantId tenant);
 
+  // Intrusive LRU list over index positions.
+  void lru_unlink(Position pos);
+  void lru_push_front(Position pos);
+  /// Drops the least recently used tenant's fine filter and digest.
+  void evict_lru();
+
   HierarchicalFilterConfig config_;
   TenantTable table_;
   std::unique_ptr<StateFilter> front_;
   bool short_circuit_ = false;
-  std::unordered_map<TenantId, TenantEntry> entries_;
-  std::list<TenantId> lru_;  // front = most recently used
+  TenantIndex<TenantEntry> tenants_;
+  Position lru_head_ = kNil;  // most recently used
+  Position lru_tail_ = kNil;  // least recently used: the next victim
+  std::size_t live_ = 0;      // entries holding a fine filter
   std::unordered_map<TenantId, StateDigest> remote_;
-  std::unordered_set<TenantId> seen_;
   SimTime clock_;
   std::uint64_t instantiations_ = 0;
   std::uint64_t evictions_ = 0;

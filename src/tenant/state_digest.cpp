@@ -6,6 +6,7 @@
 
 #include "util/byte_io.h"
 #include "util/hash.h"
+#include "util/prefetch.h"
 
 namespace upbound {
 
@@ -81,6 +82,13 @@ void StateDigest::insert_outbound(const FiveTuple& sigma_out) {
   for (const std::size_t bit : probes) {
     words_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
   }
+}
+
+void StateDigest::prefetch_outbound(const FiveTuple& sigma_out) const {
+  std::array<std::size_t, 16> idx;
+  const std::span<std::size_t> probes{idx.data(), config_.hash_count};
+  hashes_.outbound_indexes(sigma_out, config_.key_mode, probes);
+  for (const std::size_t bit : probes) prefetch_write(&words_[bit >> 6]);
 }
 
 bool StateDigest::contains_inbound(const FiveTuple& sigma_in) const {

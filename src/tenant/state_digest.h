@@ -68,6 +68,9 @@ class StateDigest {
   /// Marks the key of an outbound packet's tuple (source = internal
   /// client).
   void insert_outbound(const FiveTuple& sigma_out);
+  /// Cache hint for an upcoming insert_outbound of the same tuple:
+  /// prefetches the words its probes set. No state change.
+  void prefetch_outbound(const FiveTuple& sigma_out) const;
   /// Tests the key of an inbound packet's tuple (destination = internal
   /// client); hashes the inverse so it lands on the outbound-marked bits.
   bool contains_inbound(const FiveTuple& sigma_in) const;

@@ -6,6 +6,9 @@
 // hints compile to nothing; correctness never depends on them.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+
 namespace upbound {
 
 inline void prefetch_read(const void* addr) {
@@ -22,6 +25,16 @@ inline void prefetch_write(const void* addr) {
 #else
   (void)addr;
 #endif
+}
+
+/// prefetch_write for every 64-byte line overlapping [addr, addr + bytes).
+inline void prefetch_write_lines(const void* addr, std::size_t bytes) {
+  constexpr std::uintptr_t kLine = 64;
+  const auto first = reinterpret_cast<std::uintptr_t>(addr) & ~(kLine - 1);
+  const auto end = reinterpret_cast<std::uintptr_t>(addr) + bytes;
+  for (std::uintptr_t line = first; line < end; line += kLine) {
+    prefetch_write(reinterpret_cast<const void*>(line));
+  }
 }
 
 }  // namespace upbound

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <sstream>
+#include <string>
 
 #include "filter/filter_registry.h"
 #include "sim/replay.h"
@@ -201,7 +202,9 @@ TEST(SimGoldenRegression, StageCountersMatchLockedSnapshot) {
 // One row per way a packet can travel through EdgeRouter besides the
 // blocklisted pure-filter run above: filters whose inbound lookup has
 // side effects (spi, hierarchical), a pure filter with the blocklist off,
-// and traces with timestamps stepped backwards (clamped packets). Each
+// traces with timestamps stepped backwards (clamped packets), and a
+// hierarchical filter whose tenant cap (16) sits below the trace's 200
+// client hosts, so fine filters are evicted and re-instantiated. Each
 // row locks the whole EdgeRouterStats -- fields, stage counters, tenant
 // slices -- and the deterministic metrics as digests of their canonical
 // text, plus the replay series totals.
@@ -212,6 +215,7 @@ struct PathRow {
   std::uint64_t stats_digest;
   std::uint64_t metrics_digest;
   std::array<std::uint64_t, 4> series_totals;  // offered out/in, passed out/in
+  std::size_t tenant_cap = 0;  // hierarchical --tenant-cap; 0 = default
 };
 
 std::string stats_text(const EdgeRouterStats& s) {
@@ -261,9 +265,13 @@ TEST_P(SimGoldenPaths, RouterPathMatchesLockedStats) {
   config.network = golden_trace().network;
   config.track_blocked_connections = row.blocklist;
   config.tenancy.enabled = true;
+  MapFilterArgs args;
+  if (row.tenant_cap > 0) {
+    args.set("tenant-cap", std::to_string(row.tenant_cap));
+  }
   EdgeRouter router{config,
-                    make_state_filter(FilterRegistry::instance().parse(
-                        row.filter, MapFilterArgs{})),
+                    make_state_filter(
+                        FilterRegistry::instance().parse(row.filter, args)),
                     std::make_unique<RedDropPolicy>(2e5, 8e5)};
   const ReplayResult result = replay_trace(trace, router, config.network);
 
@@ -288,6 +296,13 @@ TEST_P(SimGoldenPaths, RouterPathMatchesLockedStats) {
   EXPECT_EQ(result.stats.out_of_order_packets > 0, row.reorder);
   EXPECT_EQ(result.stats.ignored_packets > 0, row.reorder);
   EXPECT_EQ(result.stats.blocked_drops > 0, row.blocklist);
+  if (row.tenant_cap > 0) {
+    double evictions = 0;
+    for (const GaugeSample& g : result.metrics.gauges) {
+      if (g.name == "tenancy.fine_evictions") evictions = g.value;
+    }
+    EXPECT_GT(evictions, 0.0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -308,7 +323,13 @@ INSTANTIATE_TEST_SUITE_P(
                 {49'329'739, 7'166'131, 45'681'100, 7'023'506}},
         PathRow{"hierarchical", false, true, 0xa2406f612a11c0dd,
                 0xeecda9f755331733,
-                {49'329'739, 7'166'131, 49'329'739, 7'160'438}}));
+                {49'329'739, 7'166'131, 49'329'739, 7'160'438}},
+        // At most 32 live fine filters: the metrics carry per-tenant
+        // tenancy.occupancy.* gauges, read after advancing each filter to
+        // the filter clock.
+        PathRow{"hierarchical", true, false, 0x90ad497db7ffb942,
+                0xdf0faf89e5828043,
+                {49'864'846, 7'259'228, 34'768'432, 6'113'119}, 16}));
 
 TEST(SimGoldenRegression, ScalarAndBatchedBankAgreeExactly) {
   const GoldenMetrics batched = run_bank(/*batched=*/true);

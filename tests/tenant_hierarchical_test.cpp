@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "filter/filter_registry.h"
 #include "sim/tenant_scenarios.h"
+#include "util/rng.h"
 
 namespace upbound {
 namespace {
@@ -138,6 +143,108 @@ TEST(HierarchicalFilter, LruCapEvictsLeastRecentTenant) {
   hier.advance_time(SimTime::from_sec(1.0));
   EXPECT_TRUE(hier.admits_inbound(udp(client_conn(7, 4000).inverse(), 1.0)));
   EXPECT_FALSE(hier.admits_inbound(udp(client_conn(2, 4000).inverse(), 1.0)));
+
+  // Eviction drops the tenant's digest with its fine filter; a tenant
+  // that comes back starts a fresh one.
+  const TenantTable table{TenantTableConfig{TenantMode::kPerSubscriber}};
+  const TenantId evicted = table.tenant_of(Ipv4Addr{10, 40, 0, 2});
+  EXPECT_FALSE(hier.local_digest(evicted).has_value());
+  EXPECT_TRUE(hier.local_digest(table.tenant_of(Ipv4Addr{10, 40, 0, 7}))
+                  .has_value());
+  hier.record_outbound(udp(client_conn(2, 4001), 1.0));
+  const std::optional<StateDigest> fresh = hier.local_digest(evicted);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_FALSE(fresh->contains_inbound(client_conn(2, 4000).inverse()));
+  EXPECT_TRUE(fresh->contains_inbound(client_conn(2, 4001).inverse()));
+}
+
+// Seeded LRU-order differential against a std::list reference model:
+// marks instantiate or refresh a tenant's fine filter, and lookups of
+// recently marked flows pass the front tier, so they refresh recency too.
+// After every step the filter's evictions, live count and the tenants
+// listed by tenant_occupancies() must match the model.
+TEST(HierarchicalFilter, LruOrderMatchesListModel) {
+  constexpr std::size_t kCap = 8;
+  constexpr std::uint8_t kHosts = 24;
+  HierarchicalFilter hier{config_for("bitmap-blocked", kCap)};
+  ASSERT_TRUE(hier.front_short_circuit());
+
+  std::list<TenantId> lru;  // front = most recently used
+  std::set<TenantId> seen;
+  std::uint64_t evictions = 0;
+  const auto touch = [&lru](TenantId tenant) {
+    const auto it = std::find(lru.begin(), lru.end(), tenant);
+    if (it == lru.end()) return false;
+    lru.splice(lru.begin(), lru, it);
+    return true;
+  };
+
+  const TenantTable table{TenantTableConfig{TenantMode::kPerSubscriber}};
+  Rng rng{20260117};
+  std::vector<FiveTuple> recent;  // flows marked in the last few steps
+  std::size_t refreshing_lookups = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const double t = step * 0.001;
+    hier.advance_time(SimTime::from_sec(t));
+    if (recent.empty() || rng.next_bool(0.5)) {
+      const auto host = static_cast<std::uint8_t>(2 + rng.next_below(kHosts));
+      const FiveTuple conn = client_conn(
+          host, static_cast<std::uint16_t>(4000 + rng.next_below(64)));
+      hier.record_outbound(udp(conn, t));
+      const TenantId tenant = table.tenant_of_outbound(conn);
+      seen.insert(tenant);
+      if (!touch(tenant)) {
+        if (lru.size() >= kCap) {
+          lru.pop_back();
+          ++evictions;
+        }
+        lru.push_front(tenant);
+      }
+      recent.push_back(conn);
+      if (recent.size() > 32) recent.erase(recent.begin());
+    } else {
+      const FiveTuple& conn = recent[rng.next_below(recent.size())];
+      hier.admits_inbound(udp(conn.inverse(), t));
+      if (touch(table.tenant_of_outbound(conn))) ++refreshing_lookups;
+    }
+    ASSERT_EQ(hier.fine_evictions(), evictions) << "step " << step;
+    ASSERT_EQ(hier.live_fine_filters(), lru.size()) << "step " << step;
+    ASSERT_EQ(hier.tenant_count(), seen.size()) << "step " << step;
+    std::set<TenantId> listed;
+    for (const auto& [tenant, occupancy] : hier.tenant_occupancies()) {
+      listed.insert(tenant);
+    }
+    ASSERT_EQ(listed, std::set<TenantId>(lru.begin(), lru.end()))
+        << "step " << step;
+  }
+  EXPECT_GT(evictions, 100u);
+  EXPECT_GT(refreshing_lookups, 100u);
+}
+
+// An idle tenant's fine filter is only advanced when it is next touched,
+// so occupancies are reported after advancing each one to the filter
+// clock: tenant .2's marks expired k*dt = 8 s after t = 0.5 s, and it must
+// not report them at t = 99 s.
+TEST(HierarchicalFilter, OccupanciesOfIdleTenantsAreCurrent) {
+  HierarchicalFilter hier{config_for("bitmap-blocked", 64)};
+  for (int flow = 0; flow < 50; ++flow) {
+    const double t = flow * 0.01;
+    hier.advance_time(SimTime::from_sec(t));
+    hier.record_outbound(
+        udp(client_conn(2, static_cast<std::uint16_t>(4000 + flow)), t));
+  }
+  for (int second = 1; second <= 99; ++second) {
+    hier.advance_time(SimTime::from_sec(second));
+    hier.record_outbound(udp(client_conn(3, 5000), second));
+  }
+  const TenantTable table{TenantTableConfig{TenantMode::kPerSubscriber}};
+  std::map<TenantId, double> occupancy;
+  for (const auto& [tenant, occ] : hier.tenant_occupancies()) {
+    occupancy[tenant] = occ;
+  }
+  ASSERT_EQ(occupancy.size(), 2u);
+  EXPECT_EQ(occupancy.at(table.tenant_of(Ipv4Addr{10, 40, 0, 2})), 0.0);
+  EXPECT_GT(occupancy.at(table.tenant_of(Ipv4Addr{10, 40, 0, 3})), 0.0);
 }
 
 TEST(HierarchicalFilter, FrontAbsorbsUnsolicitedWithoutInstantiating) {
