@@ -329,18 +329,6 @@ void print_hierarchical_summary(const HierarchicalFilter& hier) {
               static_cast<unsigned long long>(hier.digest_admits()));
 }
 
-/// Registered backend names holding `cap`, pipe-joined for error text.
-std::string names_with(FilterCapability cap) {
-  std::string out;
-  for (const BackendDescriptor& backend :
-       FilterRegistry::instance().descriptors()) {
-    if (!backend.has(cap)) continue;
-    if (!out.empty()) out += '|';
-    out += backend.name;
-  }
-  return out;
-}
-
 /// Parsed drop-policy parameters; RED thresholds are divided by the shard
 /// count in parallel mode, since each shard meters only its own slice of
 /// the uplink.
@@ -641,14 +629,12 @@ int cmd_filter(const Args& args) {
   // Snapshot flags are gated on the backend's capability up front, so a
   // run never completes and then discovers its state cannot be saved (or
   // silently ignores a --load-state it cannot honor).
-  if (!save_state.empty() && !backend->has(kCapSnapshot)) {
-    throw ArgError("--save-state requires a snapshot-capable backend (" +
-                   names_with(kCapSnapshot) + "); --filter " + kind +
-                   " does not support snapshots");
-  }
-  if (!load_state.empty() && !backend->has(kCapSnapshot)) {
-    throw ArgError("--load-state requires a snapshot-capable backend (" +
-                   names_with(kCapSnapshot) + "); --filter " + kind +
+  if ((!save_state.empty() || !load_state.empty()) &&
+      !backend->has(kCapSnapshot)) {
+    throw ArgError(std::string{save_state.empty() ? "--load-state"
+                                                  : "--save-state"} +
+                   " requires a snapshot-capable backend (" +
+                   registry.names_with(kCapSnapshot) + "); --filter " + kind +
                    " does not support snapshots");
   }
 
@@ -696,7 +682,7 @@ int cmd_filter(const Args& args) {
     }
     if (!backend->has(kCapOccupancy)) {
       throw ArgError("--tune requires a backend with an occupancy signal (" +
-                     names_with(kCapOccupancy) + ")");
+                     registry.names_with(kCapOccupancy) + ")");
     }
     config.tuner.enabled = true;
     config.tuner.target_penetration = tune_target;
@@ -712,7 +698,7 @@ int cmd_filter(const Args& args) {
     }
     if (shard_mode == "shared" && !backend->has(kCapSharedView)) {
       throw ArgError("--shard-mode shared requires a shared-view-capable "
-                     "backend (" + names_with(kCapSharedView) + ")");
+                     "backend (" + registry.names_with(kCapSharedView) + ")");
     }
     const FilterSpec spec = parse_effective_filter_spec(args, kind, tenancy);
     const PolicySpec policy_spec = policy_spec_from(args);
@@ -837,7 +823,7 @@ int cmd_filter(const Args& args) {
   // the backend's own arguments are not parsed (geometry flags alongside
   // --load-state are rejected as unconsumed).
   const bool load_snapshot = !load_state.empty();
-  std::optional<FilterSpec> spec;
+  FilterSpec spec;
   if (!load_snapshot) spec = parse_effective_filter_spec(args, kind, tenancy);
   std::unique_ptr<DropPolicy> policy = make_policy(policy_spec_from(args), 1);
   if (const int rc = reject_unconsumed(args); rc != 0) return rc;
@@ -847,19 +833,12 @@ int cmd_filter(const Args& args) {
   const Trace trace = read_capture(path, nullptr);
   std::unique_ptr<StateFilter> filter;
   if (load_snapshot) {
-    std::FILE* f = std::fopen(load_state.c_str(), "rb");
-    if (f == nullptr) throw ArgError("cannot read " + load_state);
-    std::vector<std::uint8_t> bytes;
-    std::uint8_t buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + got);
-    }
-    std::fclose(f);
+    const auto bytes = load_snapshot_file(load_state);
+    if (!bytes.has_value()) throw ArgError("cannot read " + load_state);
     const std::optional<SimTime> now =
         trace.empty() ? std::nullopt
                       : std::optional<SimTime>{trace.front().timestamp};
-    auto restored = restore_bitmap_filter_checked(bytes, now);
+    FilterRestoreResult restored = backend->restore(*bytes, now, nullptr);
     if (!restored.ok()) {
       if (restored.error == SnapshotRestoreError::kStale) {
         throw ArgError("snapshot " + load_state + " is stale: taken " +
@@ -870,26 +849,20 @@ int cmd_filter(const Args& args) {
       throw ArgError("cannot restore " + load_state + ": " +
                      snapshot_restore_error_name(restored.error));
     }
-    std::printf("restored bitmap state from %s (snapshot at %s)\n",
-                load_state.c_str(),
-                restored.restored->snapshot_time.to_string().c_str());
-    if (tune) {
-      const BitmapFilterConfig& bc = restored.restored->filter.config();
-      config.tuner.geometry.bits = bc.bits();
-      config.tuner.geometry.hash_count = bc.hash_count;
-      config.tuner.geometry.vector_count = bc.vector_count;
-      config.tuner.geometry.rotate_interval = bc.rotate_interval;
-    }
-    filter = take_restored_filter(std::move(*restored.restored));
+    std::printf("restored %s state from %s (snapshot at %s)\n",
+                backend->name.c_str(), load_state.c_str(),
+                restored.snapshot_time.to_string().c_str());
+    spec = std::move(restored.spec);
+    filter = std::move(restored.filter);
   } else {
-    if (tune) {
-      const std::optional<FilterGeometry> geometry = backend->geometry(*spec);
-      if (!geometry.has_value()) {
-        throw ArgError("--tune requires a backend with a declared geometry");
-      }
-      config.tuner.geometry = *geometry;
+    filter = make_state_filter(spec);
+  }
+  if (tune) {
+    const std::optional<FilterGeometry> geometry = backend->geometry(spec);
+    if (!geometry.has_value()) {
+      throw ArgError("--tune requires a backend with a declared geometry");
     }
-    filter = make_state_filter(*spec);
+    config.tuner.geometry = *geometry;
   }
   EdgeRouter router{config, std::move(filter), std::move(policy)};
 
@@ -971,15 +944,9 @@ int cmd_filter(const Args& args) {
     std::printf("surviving packets written to %s\n", out.c_str());
   }
   if (!save_state.empty()) {
-    const auto* bitmap = dynamic_cast<const BitmapFilter*>(&router.filter());
-    if (bitmap == nullptr) {
-      std::fprintf(stderr,
-                   "error: --save-state only supports --filter bitmap\n");
-      return 2;
-    }
     const SimTime end =
         trace.empty() ? SimTime::origin() : trace.back().timestamp;
-    const auto snapshot = snapshot_bitmap_filter(*bitmap, end);
+    const auto snapshot = backend->save(router.filter(), end);
     try {
       // Crash-consistent: tmp file + flush + fsync + atomic rename, so a
       // crash mid-save leaves either the old state or the new one.
@@ -988,8 +955,8 @@ int cmd_filter(const Args& args) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
     }
-    std::printf("bitmap state (%zu bytes) saved to %s\n", snapshot.size(),
-                save_state.c_str());
+    std::printf("%s state (%zu bytes) saved to %s\n", backend->name.c_str(),
+                snapshot.size(), save_state.c_str());
   }
   return 0;
 }

@@ -83,6 +83,43 @@ BitmapFilterConfig bitmap_config_from(const FilterArgs& args) {
   return config;
 }
 
+/// True when two bitmap configurations differ in nothing but dt.
+bool same_but_dt(const BitmapFilterConfig& a, const BitmapFilterConfig& b) {
+  return a.log2_bits == b.log2_bits && a.vector_count == b.vector_count &&
+         a.hash_count == b.hash_count && a.hash_seed == b.hash_seed &&
+         a.key_mode == b.key_mode;
+}
+
+/// The `bitmap` backend's state-image hooks: thin wrappers over the UBMF
+/// v2 format in filter/snapshot.cpp.
+std::vector<std::uint8_t> save_bitmap(const StateFilter& filter, SimTime now) {
+  return snapshot_bitmap_filter(dynamic_cast<const BitmapFilter&>(filter), now);
+}
+
+FilterRestoreResult restore_bitmap(std::span<const std::uint8_t> image,
+                                   std::optional<SimTime> now,
+                                   const FilterSpec* expect) {
+  BitmapRestoreResult restored = restore_bitmap_filter_checked(image, now);
+  FilterRestoreResult out;
+  out.staleness = restored.staleness;
+  out.error = restored.error;
+  if (!restored.ok()) return out;
+  const BitmapFilterConfig& got = restored.restored->filter.config();
+  out.spec = spec_of("bitmap", got);
+  out.snapshot_time = restored.restored->snapshot_time;
+  // An image of one geometry has no lossless embedding into another; dt
+  // alone may differ (the rotation schedule carries over).
+  if (expect != nullptr &&
+      (expect->kind() != "bitmap" ||
+       !same_but_dt(got, expect->config_as<BitmapFilterConfig>()))) {
+    out.error = SnapshotRestoreError::kGeometryMismatch;
+    return out;
+  }
+  out.filter =
+      std::make_unique<BitmapFilter>(std::move(restored.restored->filter));
+  return out;
+}
+
 Duration generational_window(unsigned generations, Duration interval) {
   return interval * static_cast<double>(generations - 1);
 }
@@ -185,9 +222,9 @@ std::vector<BackendDescriptor> build_backends() {
     BackendDescriptor d;
     d.name = "bitmap";
     d.summary = "the paper's {k x N} rotating bitmap (Section 4)";
-    d.capabilities = kCapOccupancy | kCapSnapshot | kCapSharedView |
-                     kCapPureLookup | kCapNoFalseNegative |
-                     kCapRotateInterval | kCapSimdBatch;
+    d.capabilities = kCapOccupancy | kCapSharedView | kCapPureLookup |
+                     kCapNoFalseNegative | kCapRotateInterval |
+                     kCapSimdBatch;
     d.parse = [](const FilterArgs& args) {
       return spec_of("bitmap", bitmap_config_from(args));
     };
@@ -204,6 +241,8 @@ std::vector<BackendDescriptor> build_backends() {
       const auto& c = spec.config_as<BitmapFilterConfig>();
       return generational_window(c.vector_count, c.rotate_interval);
     };
+    d.save = save_bitmap;
+    d.restore = restore_bitmap;
     backends.push_back(std::move(d));
   }
 
@@ -238,8 +277,9 @@ std::vector<BackendDescriptor> build_backends() {
     d.summary =
         "cache-resident bitmap: all m probes of a key in one 512-bit block";
     // Same semantics and knobs as bitmap, different bit placement: no
-    // snapshot compatibility (kCapSnapshot is bitmap-only by design) and
-    // no shared-view (plain, unsynchronized stores).
+    // state image yet (the bitmap image's layout does not fit the
+    // block-major columns) and no shared-view (plain, unsynchronized
+    // stores).
     d.capabilities = kCapOccupancy | kCapPureLookup | kCapNoFalseNegative |
                      kCapRotateInterval | kCapSimdBatch;
     d.parse = [](const FilterArgs& args) {
@@ -363,8 +403,8 @@ std::vector<BackendDescriptor> build_backends() {
         "bitmap with a per-epoch retouch mask: trades selected false "
         "positives for false negatives (Donnet et al.)";
     // Deliberately NOT kCapNoFalseNegative (that is the whole trade) and
-    // not kCapSnapshot (the mask is epoch-local; restoring the inner
-    // bitmap alone would change verdicts silently).
+    // no state image (the mask is epoch-local; restoring the inner bitmap
+    // alone would change verdicts silently).
     d.capabilities = kCapOccupancy | kCapPureLookup;
     d.parse = [](const FilterArgs& args) {
       RetouchedBitmapConfig config;
@@ -396,8 +436,7 @@ std::vector<BackendDescriptor> build_backends() {
     d.name = "counting";
     d.summary =
         "4-bit counting generations with per-tuple deletion on TCP close";
-    d.capabilities = kCapOccupancy | kCapDeletion | kCapPureLookup |
-                     kCapNoFalseNegative;
+    d.capabilities = kCapOccupancy | kCapPureLookup | kCapNoFalseNegative;
     d.parse = [](const FilterArgs& args) {
       CountingFilterConfig config;
       config.log2_cells = args.get_unsigned("bits", 20);
@@ -466,7 +505,13 @@ std::vector<BackendDescriptor> build_backends() {
 
 }  // namespace
 
-FilterRegistry::FilterRegistry() : backends_(build_backends()) {}
+FilterRegistry::FilterRegistry() : backends_(build_backends()) {
+  // kCapSnapshot is derived, never declared: exactly the backends that
+  // register both image hooks hold it.
+  for (BackendDescriptor& backend : backends_) {
+    if (backend.save && backend.restore) backend.capabilities |= kCapSnapshot;
+  }
+}
 
 const FilterRegistry& FilterRegistry::instance() {
   static const FilterRegistry registry;
@@ -505,6 +550,16 @@ std::string FilterRegistry::names_joined(const std::string& sep) const {
     out << backends_[i].name;
   }
   return out.str();
+}
+
+std::string FilterRegistry::names_with(FilterCapability cap) const {
+  std::string out;
+  for (const BackendDescriptor& backend : backends_) {
+    if (!backend.has(cap)) continue;
+    if (!out.empty()) out += '|';
+    out += backend.name;
+  }
+  return out;
 }
 
 FilterSpec FilterRegistry::parse(const std::string& name,

@@ -1,13 +1,14 @@
 // The single seam between "a filter backend exists" and everything that
 // constructs or interrogates one. Each backend registers ONE
 // BackendDescriptor -- name, capability bits, argument parser, factory,
-// geometry and expiry-window reporters -- and the CLI, the filter bank,
-// parallel replay shard factories, the attack evaluator, snapshot
-// dispatch, the health monitor's occupancy signal, and the
-// registry-driven test/bench enumerations all consume that descriptor
-// instead of hard-coding concrete types. Adding a backend is one
+// geometry and expiry-window reporters, state-image hooks -- and the CLI,
+// the filter bank, parallel replay shard factories, the attack
+// evaluator, the live daemon's snapshot/checkpoint/reload paths, the
+// health monitor's occupancy signal, and the registry-driven test/bench
+// enumerations all consume that descriptor instead of hard-coding
+// concrete types. Adding a backend (or giving one a state image) is one
 // registration in filter_registry.cpp; nothing outside src/filter/
-// names a concrete filter class to build one.
+// names a concrete filter class to build, save, or restore one.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <typeinfo>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "filter/counting_filter.h"
 #include "filter/naive_filter.h"
 #include "filter/retouched_bitmap.h"
+#include "filter/snapshot.h"  // SnapshotRestoreError
 #include "filter/spi_filter.h"
 #include "filter/state_filter.h"
 
@@ -39,9 +42,8 @@ enum FilterCapability : std::uint32_t {
   /// occupancy_fraction() returns a value (health monitor, tuner,
   /// state.occupancy gauge, attack occupancy trajectories).
   kCapOccupancy = 1u << 0,
-  /// Supports per-tuple deletion before generational expiry.
-  kCapDeletion = 1u << 1,
-  /// Supports the snapshot save/restore format (filter/snapshot.h).
+  /// Registers both state-image hooks (BackendDescriptor::save and
+  /// ::restore). Derived by the registry, never declared by hand.
   kCapSnapshot = 1u << 2,
   /// Safe to share one instance across parallel replay shards
   /// (--shard-mode shared).
@@ -135,6 +137,19 @@ struct FilterSpec {
   }
 };
 
+/// What BackendDescriptor::restore returns, for every backend.
+struct FilterRestoreResult {
+  std::unique_ptr<StateFilter> filter;  // set iff ok()
+  /// The configuration the image embeds, and when the image was taken;
+  /// set iff ok() or error == kGeometryMismatch.
+  FilterSpec spec;
+  SimTime snapshot_time;
+  Duration staleness{};  // kStale: how far `now` lies past snapshot_time
+  SnapshotRestoreError error = SnapshotRestoreError::kNone;
+
+  bool ok() const { return error == SnapshotRestoreError::kNone; }
+};
+
 /// Everything the rest of the system needs to know about one backend.
 struct BackendDescriptor {
   std::string name;
@@ -154,6 +169,20 @@ struct BackendDescriptor {
   /// configured timeout; generational backends: (k-1)*dt). Meaningful
   /// only with kCapNoFalseNegative.
   std::function<Duration(const FilterSpec&)> guaranteed_window;
+
+  // State-image hooks; both empty for backends without an image.
+  /// Serializes a filter built by this backend, as of sim time `now`.
+  /// Throws std::bad_cast for a filter of another type.
+  std::function<std::vector<std::uint8_t>(const StateFilter&, SimTime now)>
+      save;
+  /// Rebuilds a filter from an image `save` wrote, with a typed failure
+  /// reason. `now` enables the T_e staleness check (kStale). When
+  /// `expect` is given, an image whose configuration differs from it in
+  /// anything but dt fails with kGeometryMismatch.
+  std::function<FilterRestoreResult(std::span<const std::uint8_t> image,
+                                    std::optional<SimTime> now,
+                                    const FilterSpec* expect)>
+      restore;
 
   bool has(FilterCapability cap) const {
     return (capabilities & cap) != 0;
@@ -177,6 +206,9 @@ class FilterRegistry {
   std::vector<std::string> names() const;
   /// The names joined with `sep` -- usage strings and error messages.
   std::string names_joined(const std::string& sep) const;
+  /// The names of the backends holding `cap`, pipe-joined, in
+  /// registration order -- for "(supported: ...)" error text.
+  std::string names_with(FilterCapability cap) const;
 
   /// Convenience: at(name).parse(args).
   FilterSpec parse(const std::string& name, const FilterArgs& args) const;

@@ -104,6 +104,8 @@ const char* snapshot_restore_error_name(SnapshotRestoreError error) {
       return "stale (older than T_e)";
     case SnapshotRestoreError::kCorruptCrc:
       return "corrupt-crc";
+    case SnapshotRestoreError::kGeometryMismatch:
+      return "geometry-mismatch";
   }
   return "unknown";
 }
@@ -196,16 +198,6 @@ BitmapRestoreResult restore_bitmap_filter_checked(
   }
 }
 
-std::optional<RestoredBitmapFilter> restore_bitmap_filter(
-    std::span<const std::uint8_t> snapshot) {
-  return restore_bitmap_filter_checked(snapshot).restored;
-}
-
-std::unique_ptr<StateFilter> take_restored_filter(
-    RestoredBitmapFilter&& restored) {
-  return std::make_unique<BitmapFilter>(std::move(restored.filter));
-}
-
 void save_snapshot_file(const std::string& path,
                         std::span<const std::uint8_t> bytes) {
   const std::string tmp = path + ".tmp";
@@ -227,6 +219,22 @@ void save_snapshot_file(const std::string& path,
     throw std::runtime_error("save_snapshot_file: cannot rename " + tmp +
                              " to " + path);
   }
+}
+
+std::optional<std::vector<std::uint8_t>> load_snapshot_file(
+    const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return std::nullopt;
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t buf[1 << 16];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + got);
+  }
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) return std::nullopt;
+  return bytes;
 }
 
 }  // namespace upbound

@@ -7,11 +7,11 @@
 // into a typed corrupt-crc rejection, and save_snapshot_file() makes the
 // on-disk write crash-consistent (temp file + fsync + atomic rename), so
 // a restart mid-save finds either the old snapshot or the new one, never
-// a torn hybrid.
+// a torn hybrid. Callers outside src/filter/ reach the format only
+// through the `bitmap` backend's save/restore hooks (filter_registry.h).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -52,6 +52,8 @@ enum class SnapshotRestoreError {
                       // would have rotated out, restoring is pointless
   kCorruptCrc,        // structurally sound but the CRC-32 over header and
                       // payload mismatches: bit rot or tampering
+  kGeometryMismatch,  // sound image, but its configuration differs from
+                      // the expected one in more than dt
 };
 
 const char* snapshot_restore_error_name(SnapshotRestoreError error);
@@ -74,17 +76,6 @@ BitmapRestoreResult restore_bitmap_filter_checked(
     std::span<const std::uint8_t> snapshot,
     std::optional<SimTime> now = std::nullopt);
 
-/// Rebuilds a filter from a snapshot. Returns nullopt for malformed or
-/// version-incompatible snapshots (no staleness check; wrapper over
-/// restore_bitmap_filter_checked).
-std::optional<RestoredBitmapFilter> restore_bitmap_filter(
-    std::span<const std::uint8_t> snapshot);
-
-/// Moves a restored filter onto the heap in the StateFilter form the
-/// replay engines consume.
-std::unique_ptr<StateFilter> take_restored_filter(
-    RestoredBitmapFilter&& restored);
-
 /// Crash-consistent snapshot write: the bytes go to `path` + ".tmp",
 /// are flushed and fsync'd, then atomically renamed over `path`. A crash
 /// at any point leaves either the previous snapshot or the complete new
@@ -92,5 +83,9 @@ std::unique_ptr<StateFilter> take_restored_filter(
 /// (the temp file is removed best-effort).
 void save_snapshot_file(const std::string& path,
                         std::span<const std::uint8_t> bytes);
+
+/// Reads a whole image file; nullopt when it cannot be opened or read.
+std::optional<std::vector<std::uint8_t>> load_snapshot_file(
+    const std::string& path);
 
 }  // namespace upbound

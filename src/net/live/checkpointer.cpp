@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "filter/snapshot.h"
 #include "util/hash.h"
 
 namespace upbound::live {
@@ -80,22 +81,6 @@ std::optional<std::uint64_t> generation_from_name(const std::string& name) {
     gen = gen * 10 + static_cast<std::uint64_t>(name[i] - '0');
   }
   return gen;
-}
-
-/// Reads a whole file; nullopt when it cannot be opened or read.
-std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + got);
-  }
-  const bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed) return std::nullopt;
-  return bytes;
 }
 
 }  // namespace
@@ -266,7 +251,14 @@ void Checkpointer::prune() const {
 }
 
 CheckpointRestore restore_newest_checkpoint(const std::string& dir,
+                                            const FilterSpec& spec,
                                             std::optional<SimTime> now) {
+  if (!spec.backend->has(kCapSnapshot)) {
+    throw std::invalid_argument(
+        "restoring a checkpoint requires a snapshot-capable filter backend "
+        "(supported: " +
+        FilterRegistry::instance().names_with(kCapSnapshot) + ")");
+  }
   CheckpointRestore result;
   std::error_code ec;
   std::vector<std::pair<std::uint64_t, std::string>> gens;
@@ -281,7 +273,7 @@ CheckpointRestore restore_newest_checkpoint(const std::string& dir,
   for (const auto& [gen, path] : gens) {
     const std::string name =
         std::filesystem::path(path).filename().string();
-    const auto bytes = read_file(path);
+    const auto bytes = load_snapshot_file(path);
     if (!bytes.has_value()) {
       result.skipped.push_back(name + ": unreadable");
       continue;
@@ -299,14 +291,15 @@ CheckpointRestore restore_newest_checkpoint(const std::string& dir,
       result.skipped.push_back(name + ": generation-mismatch");
       continue;
     }
-    BitmapRestoreResult restored =
-        restore_bitmap_filter_checked(decoded.decoded->snapshot, now);
+    FilterRestoreResult restored =
+        spec.backend->restore(decoded.decoded->snapshot, now, &spec);
     if (!restored.ok()) {
       result.skipped.push_back(
           name + ": " + snapshot_restore_error_name(restored.error));
       continue;
     }
-    result.filter = std::move(restored.restored);
+    result.filter = std::move(restored.filter);
+    result.spec = std::move(restored.spec);
     result.meta = decoded.decoded->meta;
     result.generation = gen;
     result.path = path;

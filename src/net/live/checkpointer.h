@@ -1,8 +1,8 @@
 // Periodic crash-consistent checkpointing for the live daemon.
 //
-// A checkpoint is a UBCK envelope wrapping one bitmap filter snapshot
-// (the UBMF v2 image from src/filter/snapshot.*) plus the datapath state
-// a restart cannot rederive from traffic: the drop-policy thresholds, the
+// A checkpoint is a UBCK envelope wrapping one filter state image (the
+// backend's BackendDescriptor::save output) plus the datapath state a
+// restart cannot rederive from traffic: the drop-policy thresholds, the
 // rotation cadence, the tenant digest epoch, and the meter window. The
 // envelope is little-endian with its own CRC-32 over every other byte,
 // and every write goes through save_snapshot_file's temp + fsync + atomic
@@ -23,7 +23,7 @@
 //       56     8  meter window, microseconds (0 = no meter)
 //       64     8  snapshot payload length
 //       72     4  CRC-32 over bytes [0,72) + payload
-//       76     -  snapshot payload (UBMF image)
+//       76     -  snapshot payload (the backend's state image)
 //
 // Generations are kept as checkpoint-<generation>.ubck; the writer prunes
 // to the newest `keep` so disk use is bounded. Restore walks generations
@@ -34,13 +34,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "fault/fault_injector.h"
-#include "filter/snapshot.h"
+#include "filter/filter_registry.h"
 #include "util/time.h"
 
 namespace upbound::live {
@@ -72,7 +73,7 @@ const char* checkpoint_error_name(CheckpointError error);
 struct DecodedCheckpoint {
   std::uint64_t generation = 0;
   CheckpointMeta meta;
-  std::vector<std::uint8_t> snapshot;  // UBMF payload, not yet restored
+  std::vector<std::uint8_t> snapshot;  // state image, not yet restored
 };
 
 struct CheckpointDecodeResult {
@@ -155,8 +156,10 @@ class Checkpointer {
 /// or invalid file that was considered and passed over is recorded with
 /// its typed reason.
 struct CheckpointRestore {
-  /// Set iff a generation restored cleanly.
-  std::optional<RestoredBitmapFilter> filter;
+  /// The restored filter and the spec its image embeds, the winner's
+  /// metadata, generation and path; set iff a generation restored.
+  std::unique_ptr<StateFilter> filter;
+  FilterSpec spec;
   CheckpointMeta meta;
   std::uint64_t generation = 0;
   std::string path;
@@ -164,19 +167,22 @@ struct CheckpointRestore {
   /// generation tried before the winner (or all of them on failure).
   std::vector<std::string> skipped;
 
-  bool ok() const { return filter.has_value(); }
+  bool ok() const { return !path.empty(); }
   /// Human-readable one-paragraph summary for logs / CLI output.
   std::string report() const;
 };
 
 /// Walks `dir` newest-generation-first and restores the first checkpoint
-/// that decodes, CRC-checks, and whose snapshot payload restores. When
-/// `now` is provided, snapshots older than their own T_e are skipped as
-/// stale (same rule as restore_bitmap_filter_checked). A live restart
-/// across process boundaries passes nullopt: MonotonicClock epochs are
-/// not comparable between runs, so wall-gap staleness is meaningless
-/// there and the rotation schedule re-anchors on the first packet.
+/// that decodes, CRC-checks, and whose image restores through `spec`'s
+/// backend with `spec` expected (an image of another geometry is a
+/// geometry-mismatch skip). When `now` is provided, images older than
+/// their own T_e are skipped as stale. A live restart across process
+/// boundaries passes nullopt: MonotonicClock epochs are not comparable
+/// between runs, so wall-gap staleness is meaningless there and the
+/// rotation schedule re-anchors on the first packet. Throws
+/// std::invalid_argument when the backend has no state image.
 CheckpointRestore restore_newest_checkpoint(
-    const std::string& dir, std::optional<SimTime> now = std::nullopt);
+    const std::string& dir, const FilterSpec& spec,
+    std::optional<SimTime> now = std::nullopt);
 
 }  // namespace upbound::live

@@ -1,12 +1,12 @@
 #include "net/live/live_datapath.h"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
-#include "filter/bitmap_filter.h"
 #include "filter/drop_policy.h"
 #include "filter/snapshot.h"
 #include "net/live/reload.h"
@@ -22,15 +22,10 @@ std::string format_bps(double value) {
   return buf;
 }
 
-std::string names_with_cap(FilterCapability cap) {
-  std::string out;
-  for (const BackendDescriptor& backend :
-       FilterRegistry::instance().descriptors()) {
-    if (!backend.has(cap)) continue;
-    if (!out.empty()) out += '|';
-    out += backend.name;
-  }
-  return out;
+/// The spec's rotation interval dt; zero for backends without one.
+Duration rotate_interval_of(const FilterSpec& spec) {
+  const std::optional<FilterGeometry> geometry = spec.backend->geometry(spec);
+  return geometry.has_value() ? geometry->rotate_interval : Duration{};
 }
 
 std::unique_ptr<DropPolicy> policy_from(const LiveConfig& config) {
@@ -87,6 +82,7 @@ LiveDatapath::LiveDatapath(LiveConfig config, FilterSpec spec,
   }
   router_ = std::make_unique<EdgeRouter>(
       config_.router, make_state_filter(spec_), policy_from(config_));
+  rotate_interval_ = rotate_interval_of(spec_);
 
   pending_.resize(config_.batch_max);
   decisions_.resize(config_.batch_max);
@@ -100,11 +96,11 @@ LiveDatapath::LiveDatapath(LiveConfig config, FilterSpec spec,
   }
 
   if (!config_.checkpoint_dir.empty()) {
-    if (spec_.backend == nullptr || !spec_.backend->has(kCapSnapshot)) {
+    if (!spec_.backend->has(kCapSnapshot)) {
       throw std::invalid_argument(
           "LiveDatapath: checkpointing requires a snapshot-capable "
           "filter backend (supported: " +
-          names_with_cap(kCapSnapshot) + ")");
+          FilterRegistry::instance().names_with(kCapSnapshot) + ")");
     }
     checkpointer_ = std::make_unique<Checkpointer>(
         Checkpointer::Config{config_.checkpoint_dir,
@@ -458,22 +454,13 @@ std::vector<std::uint8_t> LiveDatapath::checkpoint_state(
   // Quiesce at a batch boundary: the image never splits a batch, so a
   // restore resumes exactly where accounting left off.
   process_pending();
-  auto* bitmap = dynamic_cast<BitmapFilter*>(&router_->filter());
-  if (bitmap == nullptr) {
-    throw std::runtime_error(
-        "live: running filter is not checkpoint-serializable");
-  }
   const SimTime at = saw_packet_ ? last_packet_time_ : SimTime::origin();
   meta.time = at;
   meta.policy_low = policy_low_;
   meta.policy_high = policy_high_;
-  meta.rotate_interval = bitmap->config().rotate_interval;
+  meta.rotate_interval = rotate_interval_;
   meta.meter_window = config_.router.meter_window;
-  const auto* hier =
-      dynamic_cast<const HierarchicalFilter*>(&router_->filter());
-  meta.tenant_epoch =
-      hier != nullptr && hier->digests_enabled() ? hier->digest_epoch() : 0;
-  return snapshot_bitmap_filter(*bitmap, at);
+  return spec_.backend->save(router_->filter(), at);
 }
 
 void LiveDatapath::write_checkpoint_now() {
@@ -496,31 +483,12 @@ void LiveDatapath::write_checkpoint_now() {
 
 CheckpointRestore LiveDatapath::restore_checkpoint_dir(
     const std::string& dir, std::optional<SimTime> now) {
-  CheckpointRestore restore = restore_newest_checkpoint(dir, now);
+  // Restoring through the CONFIGURED spec skips images of any other
+  // geometry, which would change Eq. 2 behavior out from under the
+  // operator's flags. dt alone follows the checkpoint (a runtime `set dt`
+  // retune survives restart).
+  CheckpointRestore restore = restore_newest_checkpoint(dir, spec_, now);
   if (!restore.ok()) return restore;
-
-  // The restored image must match the CONFIGURED geometry: silently
-  // adopting a checkpoint with different {n, k, m, seed, key-mode} would
-  // change Eq. 2 behavior out from under the operator's flags. dt is the
-  // one tunable that follows the checkpoint (a runtime `set dt` retune
-  // survives restart).
-  const std::string name =
-      restore.path.substr(restore.path.find_last_of('/') + 1);
-  if (spec_.backend == nullptr || !spec_.backend->has(kCapSnapshot)) {
-    restore.skipped.push_back(name + ": geometry-mismatch");
-    restore.filter.reset();
-    return restore;
-  }
-  const BitmapFilterConfig& want = spec_.config_as<BitmapFilterConfig>();
-  const BitmapFilterConfig& got = restore.filter->filter.config();
-  if (got.log2_bits != want.log2_bits ||
-      got.vector_count != want.vector_count ||
-      got.hash_count != want.hash_count ||
-      got.hash_seed != want.hash_seed || got.key_mode != want.key_mode) {
-    restore.skipped.push_back(name + ": geometry-mismatch");
-    restore.filter.reset();
-    return restore;
-  }
 
   if (config_.policy_red) {
     policy_low_ = restore.meta.policy_low;
@@ -528,9 +496,8 @@ CheckpointRestore LiveDatapath::restore_checkpoint_dir(
     router_->set_drop_policy(
         std::make_unique<RedDropPolicy>(policy_low_, policy_high_));
   }
-  // The filter moves into the router; restore.filter stays engaged (a
-  // moved-from husk) so ok()/report() keep describing the success.
-  router_->replace_filter(take_restored_filter(std::move(*restore.filter)));
+  rotate_interval_ = rotate_interval_of(restore.spec);
+  router_->replace_filter(std::move(restore.filter));
   return restore;
 }
 
@@ -551,13 +518,13 @@ ControlReply LiveDatapath::control_set_threshold(bool is_low, double bps) {
 }
 
 ControlReply LiveDatapath::control_set_rotate_interval(Duration dt) {
-  if (spec_.backend == nullptr ||
-      !spec_.backend->has(kCapRotateInterval)) {
+  if (!spec_.backend->has(kCapRotateInterval)) {
     return ControlReply::err(
         "capability:rotate",
         "backend '" + spec_.kind() +
             "' has no runtime-adjustable rotation interval (supported: " +
-            names_with_cap(kCapRotateInterval) + ")");
+            FilterRegistry::instance().names_with(kCapRotateInterval) +
+            ")");
   }
   try {
     if (!router_->filter().set_rotate_interval(dt)) {
@@ -568,6 +535,7 @@ ControlReply LiveDatapath::control_set_rotate_interval(Duration dt) {
   } catch (const std::invalid_argument& e) {
     return ControlReply::err("bad-argument", e.what());
   }
+  rotate_interval_ = dt;
   return ControlReply::good("dt=" + format_bps(dt.to_sec()) + "s");
 }
 
@@ -583,23 +551,17 @@ ControlReply LiveDatapath::control_set_unhealthy_stance(UnhealthyStance s) {
 }
 
 ControlReply LiveDatapath::control_snapshot(const std::string& path) {
-  if (spec_.backend == nullptr || !spec_.backend->has(kCapSnapshot)) {
+  if (!spec_.backend->has(kCapSnapshot)) {
     return ControlReply::err(
         "capability:snapshot",
         "backend '" + spec_.kind() +
             "' has no snapshot format (supported: " +
-            names_with_cap(kCapSnapshot) + ")");
-  }
-  auto* bitmap = dynamic_cast<BitmapFilter*>(&router_->filter());
-  if (bitmap == nullptr) {
-    return ControlReply::err(
-        "capability:snapshot",
-        "backend '" + spec_.kind() + "' is not snapshot-serializable");
+            FilterRegistry::instance().names_with(kCapSnapshot) + ")");
   }
   const SimTime at = saw_packet_ ? last_packet_time_ : SimTime::origin();
   try {
     const std::vector<std::uint8_t> bytes =
-        snapshot_bitmap_filter(*bitmap, at);
+        spec_.backend->save(router_->filter(), at);
     save_snapshot_file(path, bytes);
     return ControlReply::good("wrote " + path + " (" +
                               std::to_string(bytes.size()) + " bytes)");
@@ -658,63 +620,50 @@ ControlReply LiveDatapath::control_reload(const std::string& path) {
     } catch (const std::invalid_argument& e) {
       return ControlReply::err("bad-argument", e.what());
     }
-    // Marking state migrates through the snapshot format, so both the
-    // running backend and the target must speak it, and the geometry
-    // {n, k, m, seed, key-mode} must agree -- a snapshot of one geometry
-    // has no lossless embedding into another. dt alone may change; the
-    // rotation schedule carries over.
-    if (spec_.backend == nullptr || !spec_.backend->has(kCapSnapshot) ||
-        !backend->has(kCapSnapshot)) {
+    // Marking state migrates through the running backend's state image,
+    // so both backends must have one.
+    if (!spec_.backend->has(kCapSnapshot) || !backend->has(kCapSnapshot)) {
       return ControlReply::err(
           "reload-incompatible",
           "'" + spec_.kind() + "' -> '" + backend->name +
               "' cannot migrate state (snapshot-capable backends: " +
-              names_with_cap(kCapSnapshot) + "); restart to change");
+              FilterRegistry::instance().names_with(kCapSnapshot) +
+              "); restart to change");
     }
-    auto* bitmap = dynamic_cast<BitmapFilter*>(&router_->filter());
-    if (bitmap == nullptr) {
-      return ControlReply::err(
-          "reload-incompatible",
-          "running filter is not snapshot-serializable; restart to change");
-    }
-    const BitmapFilterConfig& want = new_spec.config_as<BitmapFilterConfig>();
-    const BitmapFilterConfig& got = bitmap->config();
-    if (got.log2_bits != want.log2_bits ||
-        got.vector_count != want.vector_count ||
-        got.hash_count != want.hash_count ||
-        got.hash_seed != want.hash_seed ||
-        got.key_mode != want.key_mode) {
+
+    // Quiesce at a batch boundary and migrate: save -> restore expecting
+    // the new spec -> new dt -> swap. The round-trip runs even when only
+    // dt (or nothing) changed -- it IS the lossless-migration path, and
+    // the conformance test pins a no-op reload to byte-identical results.
+    process_pending();
+    const SimTime at = saw_packet_ ? last_packet_time_ : SimTime::origin();
+    FilterRestoreResult migrated = spec_.backend->restore(
+        spec_.backend->save(router_->filter(), at), std::nullopt, &new_spec);
+    if (migrated.error == SnapshotRestoreError::kGeometryMismatch) {
+      // An image of one geometry has no lossless embedding into another.
+      // n = log2 N: every geometry's N is a power of two.
+      const FilterGeometry running =
+          spec_.backend->geometry(spec_).value_or(FilterGeometry{});
       return ControlReply::err(
           "reload-incompatible",
           "new geometry would discard marking state (running n=" +
-              std::to_string(got.log2_bits) + " k=" +
-              std::to_string(got.vector_count) + " m=" +
-              std::to_string(got.hash_count) +
+              std::to_string(std::countr_zero(running.bits)) + " k=" +
+              std::to_string(running.vector_count) + " m=" +
+              std::to_string(running.hash_count) +
               "; only dt may change across a reload). Filter untouched; "
               "restart to change geometry");
     }
-
-    // Quiesce at a batch boundary and migrate: snapshot -> restore ->
-    // swap. The round-trip runs even when only dt (or nothing) changed --
-    // it IS the lossless-migration path, and the conformance test pins a
-    // no-op reload to byte-identical results.
-    process_pending();
-    const SimTime at = saw_packet_ ? last_packet_time_ : SimTime::origin();
-    BitmapRestoreResult round = restore_bitmap_filter_checked(
-        snapshot_bitmap_filter(*bitmap, at), std::nullopt);
-    if (!round.restored.has_value()) {
+    if (!migrated.ok()) {
       return ControlReply::err(
           "io", std::string{"snapshot round-trip failed: "} +
-                    snapshot_restore_error_name(round.error));
+                    snapshot_restore_error_name(migrated.error));
     }
-    if (want.rotate_interval != got.rotate_interval) {
-      round.restored->filter.set_rotate_interval(want.rotate_interval);
-    }
-    router_->replace_filter(
-        take_restored_filter(std::move(*round.restored)));
+    const Duration dt = rotate_interval_of(new_spec);
+    if (dt != rotate_interval_) migrated.filter->set_rotate_interval(dt);
+    router_->replace_filter(std::move(migrated.filter));
     spec_ = std::move(new_spec);
-    detail = "filter=" + spec_.kind() +
-             " dt=" + format_bps(want.rotate_interval.to_sec()) + "s";
+    rotate_interval_ = dt;
+    detail = "filter=" + spec_.kind() + " dt=" + format_bps(dt.to_sec()) + "s";
   }
 
   if (retune_policy) {
@@ -786,16 +735,13 @@ ControlReply LiveDatapath::control_stats_tenants() {
   // Capability-gated like `set dt`/`snapshot`: the declared backend
   // capability decides, so the answer matches the registry's contract
   // even if the running filter type were to change.
-  if (spec_.backend == nullptr || !spec_.backend->has(kCapTenancy)) {
+  if (!spec_.backend->has(kCapTenancy)) {
     return ControlReply::err(
         "capability:tenancy",
-        "filter '" + std::string{spec_.backend != nullptr
-                                     ? spec_.backend->name
-                                     : "?"} +
-            "' has no tenant table (" + names_with_cap(kCapTenancy) + ")");
+        "filter '" + spec_.kind() + "' has no tenant table (" +
+            FilterRegistry::instance().names_with(kCapTenancy) + ")");
   }
-  const auto* hier =
-      dynamic_cast<const HierarchicalFilter*>(&router_->filter());
+  const HierarchicalFilter* hier = router_->hierarchical_filter();
   if (hier == nullptr) {
     return ControlReply::err("capability:tenancy",
                              "filter has no tenant table");

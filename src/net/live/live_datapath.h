@@ -130,14 +130,15 @@ class LiveDatapath final : public ControlApi {
                       Duration idle_timeout = Duration::sec(30.0));
 
   /// Restores the newest valid checkpoint generation from `dir` into the
-  /// running router: filter state, drop-policy watermarks, and rotation
-  /// cadence. Generations that fail to decode, CRC-check, restore, or
-  /// whose geometry disagrees with the configured filter spec are skipped
-  /// with typed reasons (result.skipped); the restore succeeds iff any
-  /// generation survives. `now` enables the T_e staleness check --
-  /// in-process restarts on a shared timeline pass the current sim time,
-  /// cross-process restarts pass nullopt (monotonic epochs are not
-  /// comparable between runs). Call before traffic flows.
+  /// running router: filter state (with the image's rotation cadence) and
+  /// drop-policy watermarks. Generations that fail to decode, CRC-check,
+  /// restore, or whose geometry disagrees with the configured filter spec
+  /// are skipped with typed reasons (result.skipped); the restore
+  /// succeeds iff any generation survives. `now` enables the T_e
+  /// staleness check -- in-process restarts on a shared timeline pass the
+  /// current sim time, cross-process restarts pass nullopt (monotonic
+  /// epochs are not comparable between runs). Call before traffic flows;
+  /// throws std::invalid_argument for a backend without a state image.
   CheckpointRestore restore_checkpoint_dir(
       const std::string& dir, std::optional<SimTime> now = std::nullopt);
 
@@ -214,7 +215,7 @@ class LiveDatapath final : public ControlApi {
   void stall_capture(Duration window);
 
   // Checkpointing.
-  /// StateProvider body: quiesces and snapshots the bitmap filter.
+  /// StateProvider body: quiesces and saves the filter's state image.
   std::vector<std::uint8_t> checkpoint_state(CheckpointMeta& meta);
   /// Timer body: one checkpoint, errors counted + warned, never fatal.
   void write_checkpoint_now();
@@ -244,6 +245,9 @@ class LiveDatapath final : public ControlApi {
 
   double policy_low_ = 0;
   double policy_high_ = 0;
+  /// The running filter's dt, written into each checkpoint envelope;
+  /// follows `set dt`, `reload`, and checkpoint restore.
+  Duration rotate_interval_{};
 
   SimTime start_time_;
   SimTime last_packet_time_;

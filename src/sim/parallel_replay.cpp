@@ -243,18 +243,19 @@ ParallelReplayResult parallel_replay(const Trace& trace,
           shard_packets[s] += n;
         };
 
-        // Careful path for lanes with scheduled faults: processes the
-        // chunk in sub-batches split at exact trigger points, so a kill or
-        // flip fires at the same shard-local packet count regardless of
-        // how the stream happened to be chunked. Returns true when the
-        // lane died inside this chunk.
-        const auto run_faulted_chunk = [&](std::size_t s,
-                                           const Chunk& chunk) -> bool {
+        // The one chunk path: sub-batches split at the lane's fault
+        // triggers (an unfaulted lane has none, so its one sub-batch is the
+        // whole chunk), so a kill or flip fires at the same shard-local
+        // packet count however the stream was chunked. Returns true when
+        // the lane died inside this chunk.
+        const auto run_chunk = [&](std::size_t s, const Chunk& chunk) -> bool {
           ShardLane& lane = *lanes[s];
+          const bool faulted =
+              injector != nullptr && injector->lane_faulted(s);
           std::size_t pos = 0;
           for (;;) {
             const std::uint64_t processed = shard_packets[s];
-            for (;;) {
+            while (faulted) {
               const double ms = injector->take_stall_ms(s, processed);
               if (ms <= 0.0) break;
               std::this_thread::sleep_for(
@@ -268,20 +269,34 @@ ParallelReplayResult parallel_replay(const Trace& trace,
               die(s, chunk, pos, ShardLane::Death::kCondemned);
               return true;
             }
-            injector->apply_state_faults(s, processed, routers[s]->filter());
-            if (injector->kill_at(s) <= processed) {
-              die(s, chunk, pos, ShardLane::Death::kKilled);
-              return true;
+            if (faulted) {
+              injector->apply_state_faults(s, processed,
+                                           routers[s]->filter());
+              if (injector->kill_at(s) <= processed) {
+                die(s, chunk, pos, ShardLane::Death::kKilled);
+                return true;
+              }
             }
             if (pos == chunk.size) return false;
-            const std::uint64_t next = injector->next_lane_trigger(s,
-                                                                   processed);
+            const std::uint64_t next =
+                faulted ? injector->next_lane_trigger(s, processed)
+                        : kFaultNever;
             std::size_t n = chunk.size - pos;
             if (next != kFaultNever) {
               n = static_cast<std::size_t>(std::min<std::uint64_t>(
                   n, next - processed));
             }
-            process_subbatch(s, chunk.data + pos, n);
+            try {
+              process_subbatch(s, chunk.data + pos, n);
+            } catch (...) {
+              // Self-heal: a sub-batch that blew up mid-application
+              // cannot be replayed safely (the router may hold half its
+              // effects), so it counts as lost and the rest of the chunk
+              // fails over with the lane.
+              lane.lost += n;
+              die(s, chunk, pos + n, ShardLane::Death::kCrashed);
+              return true;
+            }
             pos += n;
           }
         };
@@ -290,36 +305,11 @@ ParallelReplayResult parallel_replay(const Trace& trace,
         // marks the lane finished (and adjusts `live`) when it died.
         const auto drain = [&](std::size_t i, std::size_t s) -> bool {
           ShardLane& lane = *lanes[s];
-          const bool faulted =
-              injector != nullptr && injector->lane_faulted(s);
           Chunk chunk;
           bool any = false;
           while (lane.data_ring.try_pop(chunk)) {
             any = true;
-            if (!faulted && lane.state.load(std::memory_order_acquire) ==
-                                kLaneCondemned) {
-              die(s, chunk, 0, ShardLane::Death::kCondemned);
-              finished[i] = true;
-              --live;
-              return true;
-            }
-            bool died = false;
-            if (faulted) {
-              died = run_faulted_chunk(s, chunk);
-            } else {
-              try {
-                process_subbatch(s, chunk.data, chunk.size);
-              } catch (...) {
-                // Self-heal: a chunk that blew up mid-application cannot
-                // be replayed safely (the router may hold half its
-                // effects), so the whole chunk counts as lost and the
-                // lane fails over.
-                lane.lost += chunk.size;
-                die(s, chunk, chunk.size, ShardLane::Death::kCrashed);
-                died = true;
-              }
-            }
-            if (died) {
+            if (run_chunk(s, chunk)) {
               finished[i] = true;
               --live;
               return true;

@@ -117,8 +117,9 @@ struct ParallelReplayResult {
   /// Sidecar packets with no surviving shard to take them (every lane
   /// died).
   std::uint64_t unroutable_packets = 0;
-  /// In-flight chunk packets discarded when a worker crashed mid-chunk (a
-  /// partially applied chunk cannot be replayed safely).
+  /// In-flight packets discarded when a router threw mid-sub-batch (a
+  /// partially applied sub-batch cannot be replayed safely); the rest of
+  /// its chunk fails over.
   std::uint64_t lost_packets = 0;
   /// Lanes condemned by the wall-clock watchdog. Kept out of
   /// merged.metrics: it is timing-dependent, unlike the injected-fault

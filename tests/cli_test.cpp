@@ -201,6 +201,20 @@ TEST_F(CliCommandTest, SaveAndLoadFilterState) {
             2);
 }
 
+TEST_F(CliCommandTest, LiveRestoreDirNeedsABackendWithAStateImage) {
+  // The default live backend (bitmap-blocked) has no state image: the
+  // daemon refuses --restore-dir before any traffic flows, the way it
+  // refuses --checkpoint-dir, instead of starting cold.
+  ::testing::internal::CaptureStderr();
+  const int rc = run_cli({"live", "--tap", "--tap-port", "0", "--restore-dir",
+                          dir_.c_str(), "--duration", "1"});
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 1) << err;
+  EXPECT_NE(err.find("snapshot-capable filter backend (supported: bitmap)"),
+            std::string::npos)
+      << err;
+}
+
 TEST_F(CliCommandTest, HelpAndErrors) {
   EXPECT_EQ(run_cli({"help"}), 0);
   EXPECT_EQ(run_cli({}), 2);

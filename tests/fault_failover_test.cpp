@@ -4,6 +4,9 @@
 // worker thread count, with no packet gained or lost.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+
 #include "fault/fault_injector.h"
 #include "filter/bitmap_filter.h"
 #include "filter/drop_policy.h"
@@ -163,6 +166,127 @@ TEST(FaultFailover, WatchdogLeavesHealthyLanesAlone) {
   EXPECT_EQ(watched.merged.stats, unwatched.merged.stats);
   EXPECT_EQ(watched.merged.metrics.deterministic(),
             unwatched.merged.metrics.deterministic());
+}
+
+/// A bitmap filter that throws on its 101st outbound mark: a stand-in for
+/// a router bug that blows up in the middle of a batch.
+class ThrowingFilter final : public StateFilter {
+ public:
+  ThrowingFilter()
+      : inner_(make_state_filter(bitmap_filter_spec(BitmapFilterConfig{}))) {}
+
+  void advance_time(SimTime now) override { inner_->advance_time(now); }
+  void record_outbound(const PacketRecord& pkt) override {
+    if (++marks_ == 101) throw std::runtime_error("injected filter crash");
+    inner_->record_outbound(pkt);
+  }
+  bool admits_inbound(const PacketRecord& pkt) override {
+    return inner_->admits_inbound(pkt);
+  }
+  std::size_t storage_bytes() const override {
+    return inner_->storage_bytes();
+  }
+  std::string name() const override { return "throwing"; }
+
+ private:
+  std::unique_ptr<StateFilter> inner_;
+  std::uint64_t marks_ = 0;
+};
+
+constexpr std::size_t kCrashShard = 3;
+
+/// Eight-shard replay in which shard 3's filter throws; `spec_text` (may
+/// be empty) arms the fault plane on top.
+ParallelReplayResult run_crashed(std::size_t threads,
+                                 const std::string& spec_text) {
+  const GeneratedTrace& trace = shared_trace();
+  const ShardRouterFactory factory = [](const ClientNetwork& network,
+                                        std::size_t shard) {
+    EdgeRouterConfig config;
+    config.network = network;
+    config.seed = shard_seed(7, shard);
+    std::unique_ptr<StateFilter> filter =
+        shard == kCrashShard
+            ? std::make_unique<ThrowingFilter>()
+            : make_state_filter(bitmap_filter_spec(BitmapFilterConfig{}));
+    return std::make_unique<EdgeRouter>(
+        config, std::move(filter), std::make_unique<ConstantDropPolicy>(1.0));
+  };
+  std::optional<FaultInjector> injector;
+  ParallelReplayConfig config;
+  config.threads = threads;
+  config.shards = 8;
+  if (!spec_text.empty()) {
+    injector.emplace(FaultSpec::parse(spec_text), 7);
+    config.fault_injector = &*injector;
+  }
+  return parallel_replay(trace.packets, trace.network, factory, config);
+}
+
+std::uint64_t counter_of(const ParallelReplayResult& result,
+                         const std::string& name) {
+  for (const CounterSample& sample : result.merged.metrics.counters) {
+    if (sample.name == name) return sample.value;
+  }
+  return 0;
+}
+
+/// The crashed lane self-heals: exactly one lane crashes, every packet is
+/// processed, lost or unroutable, and the outcome is the same at 1, 2
+/// and 8 worker threads.
+void expect_crash_self_heals(const std::string& spec_text) {
+  const ParallelReplayResult reference = run_crashed(1, spec_text);
+  ASSERT_EQ(reference.shard_failed.size(), 8u);
+  EXPECT_EQ(reference.shard_failed[kCrashShard], 1u);
+  EXPECT_EQ(counter_of(reference, "replay.lanes_crashed"), 1u);
+  EXPECT_GT(reference.lost_packets, 0u);
+  EXPECT_GT(reference.failover_packets, 0u);
+  std::uint64_t processed = 0;
+  for (const std::uint64_t n : reference.shard_packets) processed += n;
+  EXPECT_EQ(processed + reference.lost_packets + reference.unroutable_packets,
+            shared_trace().packets.size());
+
+  for (const std::size_t threads : {2u, 8u}) {
+    const ParallelReplayResult result = run_crashed(threads, spec_text);
+    EXPECT_EQ(result.merged.stats, reference.merged.stats)
+        << "threads=" << threads;
+    EXPECT_EQ(result.shard_packets, reference.shard_packets)
+        << "threads=" << threads;
+    EXPECT_EQ(result.shard_failed, reference.shard_failed)
+        << "threads=" << threads;
+    EXPECT_EQ(result.lost_packets, reference.lost_packets)
+        << "threads=" << threads;
+    EXPECT_EQ(result.failover_packets, reference.failover_packets)
+        << "threads=" << threads;
+    EXPECT_EQ(result.merged.metrics.deterministic(),
+              reference.merged.metrics.deterministic())
+        << "threads=" << threads;
+  }
+}
+
+TEST(FaultFailover, WorkerCrashSelfHealsOnUnfaultedLane) {
+  expect_crash_self_heals("");
+  // The crashed chunk is lost whole: the throw lands in the lane's first
+  // 256-packet chunk.
+  const ParallelReplayResult result = run_crashed(2, "");
+  EXPECT_EQ(result.lost_packets, 256u);
+  EXPECT_EQ(result.failover_packets, 6342u);
+  std::uint64_t processed = 0;
+  for (const std::uint64_t n : result.shard_packets) processed += n;
+  EXPECT_EQ(processed, 36028u);
+}
+
+TEST(FaultFailover, WorkerCrashSelfHealsOnFaultedLane) {
+  // A 1 ms stall perturbs timing only: the lane that carries it must
+  // self-heal from a crash exactly like an unfaulted one.
+  expect_crash_self_heals("stall-shard:3@50:1");
+  // A stall on another lane leaves the crash outcome untouched.
+  const ParallelReplayResult plain = run_crashed(2, "");
+  const ParallelReplayResult elsewhere = run_crashed(2, "stall-shard:5@50:1");
+  EXPECT_EQ(elsewhere.merged.stats, plain.merged.stats);
+  EXPECT_EQ(elsewhere.shard_packets, plain.shard_packets);
+  EXPECT_EQ(elsewhere.lost_packets, plain.lost_packets);
+  EXPECT_EQ(elsewhere.failover_packets, plain.failover_packets);
 }
 
 TEST(FaultFailover, ReferenceEngineRejectsInjector) {

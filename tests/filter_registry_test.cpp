@@ -1,15 +1,16 @@
 // FilterRegistry: the single seam between backend existence and backend
 // construction. These tests pin the registry contract every consumer
-// (CLI, filter bank, parallel replay, attack evaluator, snapshot
-// dispatch, test enumeration) relies on: stable names and registration
+// (CLI, filter bank, parallel replay, attack evaluator, state-image
+// users, test enumeration) relies on: stable names and registration
 // order, capability bits that match each backend's actual behavior,
-// argument parsing with typed errors, and factories that build working
-// filters.
+// argument parsing with typed errors, factories that build working
+// filters, and the save/restore image hooks.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <typeinfo>
 
 #include "filter/filter_registry.h"
 
@@ -50,11 +51,13 @@ TEST(FilterRegistry, CapabilityBitsMatchBackendBehavior) {
   EXPECT_TRUE(bitmap.has(kCapSharedView));
   EXPECT_TRUE(bitmap.has(kCapPureLookup));
   EXPECT_TRUE(bitmap.has(kCapNoFalseNegative));
-  EXPECT_FALSE(bitmap.has(kCapDeletion));
 
-  // Only the plain bitmap speaks the snapshot format.
+  // Only the plain bitmap has a state image, and kCapSnapshot is exactly
+  // "registers both image hooks".
   for (const BackendDescriptor& backend : registry.descriptors()) {
     EXPECT_EQ(backend.has(kCapSnapshot), backend.name == "bitmap")
+        << backend.name;
+    EXPECT_EQ(backend.has(kCapSnapshot), backend.save && backend.restore)
         << backend.name;
   }
   // Only the concurrent-capable bitmaps may be shared across shards.
@@ -67,12 +70,6 @@ TEST(FilterRegistry, CapabilityBitsMatchBackendBehavior) {
   // Retouching deliberately trades the paper's core guarantee away.
   EXPECT_FALSE(registry.at("retouched").has(kCapNoFalseNegative));
   EXPECT_TRUE(registry.at("retouched").has(kCapOccupancy));
-
-  // Counting is the only backend with per-tuple deletion.
-  for (const BackendDescriptor& backend : registry.descriptors()) {
-    EXPECT_EQ(backend.has(kCapDeletion), backend.name == "counting")
-        << backend.name;
-  }
 
   // Only the word-addressed bitmaps digest keys through the batch hash
   // kernel; their verdicts must be identical with SIMD on or off (pinned
@@ -87,6 +84,97 @@ TEST(FilterRegistry, CapabilityBitsMatchBackendBehavior) {
   // lookup so its lookups are not pure.
   EXPECT_FALSE(registry.at("aging").has(kCapOccupancy));
   EXPECT_FALSE(registry.at("spi").has(kCapPureLookup));
+}
+
+TEST(FilterRegistry, NamesWithListsCapableBackendsInOrder) {
+  const FilterRegistry& registry = FilterRegistry::instance();
+  EXPECT_EQ(registry.names_with(kCapSnapshot), "bitmap");
+  EXPECT_EQ(registry.names_with(kCapSharedView), "bitmap|bitmap-mt");
+  EXPECT_EQ(registry.names_with(kCapTenancy), "hierarchical");
+}
+
+PacketRecord probe_at(double sec, bool inbound) {
+  PacketRecord pkt;
+  pkt.timestamp = SimTime::from_sec(sec);
+  pkt.tuple = FiveTuple{Protocol::kUdp, Ipv4Addr{10, 0, 0, 9}, 6000,
+                        Ipv4Addr{93, 184, 216, 34}, 6881};
+  if (inbound) pkt.tuple = pkt.tuple.inverse();
+  return pkt;
+}
+
+FilterSpec bitmap_spec(const std::string& bits, const std::string& dt) {
+  MapFilterArgs args;
+  args.set("bits", bits).set("dt", dt);
+  return FilterRegistry::instance().parse("bitmap", args);
+}
+
+TEST(FilterRegistry, ImageHooksRoundTripThroughTheDescriptor) {
+  const FilterSpec spec = bitmap_spec("12", "2");
+  const std::unique_ptr<StateFilter> filter = make_state_filter(spec);
+  filter->advance_time(SimTime::from_sec(3.0));
+  filter->record_outbound(probe_at(3.0, false));
+
+  const BackendDescriptor& bitmap = *spec.backend;
+  const std::vector<std::uint8_t> image =
+      bitmap.save(*filter, SimTime::from_sec(3.5));
+  // The hook writes the bitmap format's bytes, unchanged.
+  EXPECT_EQ(image, snapshot_bitmap_filter(
+                       dynamic_cast<const BitmapFilter&>(*filter),
+                       SimTime::from_sec(3.5)));
+
+  FilterRestoreResult restored = bitmap.restore(image, std::nullopt, &spec);
+  ASSERT_TRUE(restored.ok()) << snapshot_restore_error_name(restored.error);
+  ASSERT_NE(restored.filter, nullptr);
+  EXPECT_EQ(restored.snapshot_time, SimTime::from_sec(3.5));
+  EXPECT_EQ(restored.spec.kind(), "bitmap");
+  EXPECT_EQ(restored.spec.config_as<BitmapFilterConfig>().log2_bits, 12u);
+  EXPECT_TRUE(restored.filter->admits_inbound(probe_at(3.6, true)));
+}
+
+TEST(FilterRegistry, ImageRestoreChecksTheExpectedGeometry) {
+  const FilterSpec spec = bitmap_spec("12", "2");
+  const BackendDescriptor& bitmap = *spec.backend;
+  const std::vector<std::uint8_t> image =
+      bitmap.save(*make_state_filter(spec), SimTime::origin());
+
+  // dt alone may differ: the image keeps its own dt.
+  const FilterSpec other_dt = bitmap_spec("12", "7");
+  const FilterRestoreResult same = bitmap.restore(image, std::nullopt,
+                                                  &other_dt);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same.spec.config_as<BitmapFilterConfig>().rotate_interval,
+            Duration::sec(2.0));
+
+  // Any other difference is a typed geometry mismatch that still reports
+  // what the image holds.
+  const FilterSpec other_bits = bitmap_spec("14", "2");
+  const FilterRestoreResult wider =
+      bitmap.restore(image, std::nullopt, &other_bits);
+  EXPECT_EQ(wider.error, SnapshotRestoreError::kGeometryMismatch);
+  EXPECT_EQ(wider.filter, nullptr);
+  EXPECT_EQ(wider.spec.config_as<BitmapFilterConfig>().log2_bits, 12u);
+  EXPECT_STREQ(snapshot_restore_error_name(wider.error), "geometry-mismatch");
+
+  // So is another backend's spec, even one with the same knobs.
+  MapFilterArgs args;
+  args.set("bits", "12").set("dt", "2");
+  const FilterSpec blocked =
+      FilterRegistry::instance().parse("bitmap-blocked", args);
+  EXPECT_EQ(bitmap.restore(image, std::nullopt, &blocked).error,
+            SnapshotRestoreError::kGeometryMismatch);
+
+  // Damaged images keep their own typed reasons.
+  std::vector<std::uint8_t> rotted = image;
+  rotted.back() ^= 0x01;
+  EXPECT_EQ(bitmap.restore(rotted, std::nullopt, &spec).error,
+            SnapshotRestoreError::kCorruptCrc);
+}
+
+TEST(FilterRegistry, ImageSaveRejectsAForeignFilter) {
+  const BackendDescriptor& bitmap = FilterRegistry::instance().at("bitmap");
+  const std::unique_ptr<StateFilter> naive =
+      make_state_filter(naive_filter_spec());
+  EXPECT_THROW(bitmap.save(*naive, SimTime::origin()), std::bad_cast);
 }
 
 TEST(FilterRegistry, EveryFactoryBuildsAWorkingFilter) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/live/checkpointer.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace upbound {
@@ -42,7 +44,7 @@ TEST(Snapshot, RoundTripPreservesEveryDecision) {
   }
 
   const auto snapshot = snapshot_bitmap_filter(original, SimTime::from_sec(t));
-  auto restored = restore_bitmap_filter(snapshot);
+  auto restored = restore_bitmap_filter_checked(snapshot).restored;
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->snapshot_time, SimTime::from_sec(t));
   EXPECT_EQ(restored->filter.current_index(), original.current_index());
@@ -67,7 +69,7 @@ TEST(Snapshot, RestoredFilterContinuesRotating) {
 
   const auto snapshot =
       snapshot_bitmap_filter(original, SimTime::from_sec(7.0));
-  auto restored = restore_bitmap_filter(snapshot);
+  auto restored = restore_bitmap_filter_checked(snapshot).restored;
   ASSERT_TRUE(restored.has_value());
 
   // Both filters, advanced identically, expire the mark at the same time.
@@ -88,7 +90,7 @@ TEST(Snapshot, ConfigEmbedded) {
   config.hash_seed = 12345;
   BitmapFilter filter{config};
   const auto snapshot = snapshot_bitmap_filter(filter, SimTime::origin());
-  auto restored = restore_bitmap_filter(snapshot);
+  auto restored = restore_bitmap_filter_checked(snapshot).restored;
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->filter.config().key_mode, KeyMode::kHolePunching);
   EXPECT_EQ(restored->filter.config().hash_seed, 12345u);
@@ -107,28 +109,28 @@ TEST(Snapshot, MalformedRejected) {
 
   auto bad_magic = snapshot;
   bad_magic[0] ^= 0xff;
-  EXPECT_FALSE(restore_bitmap_filter(bad_magic).has_value());
+  EXPECT_FALSE(restore_bitmap_filter_checked(bad_magic).ok());
 
   auto bad_version = snapshot;
   bad_version[4] = 99;
-  EXPECT_FALSE(restore_bitmap_filter(bad_version).has_value());
+  EXPECT_FALSE(restore_bitmap_filter_checked(bad_version).ok());
 
   auto truncated = snapshot;
   truncated.resize(truncated.size() / 2);
-  EXPECT_FALSE(restore_bitmap_filter(truncated).has_value());
+  EXPECT_FALSE(restore_bitmap_filter_checked(truncated).ok());
 
   auto trailing = snapshot;
   trailing.push_back(0);
-  EXPECT_FALSE(restore_bitmap_filter(trailing).has_value());
+  EXPECT_FALSE(restore_bitmap_filter_checked(trailing).ok());
 
-  EXPECT_FALSE(restore_bitmap_filter({}).has_value());
+  EXPECT_FALSE(restore_bitmap_filter_checked({}).ok());
 }
 
 TEST(Snapshot, InsaneConfigRejected) {
   BitmapFilter filter{small_config()};
   auto snapshot = snapshot_bitmap_filter(filter, SimTime::origin());
   snapshot[8] = 200;  // log2_bits = 200: config validation must refuse
-  EXPECT_FALSE(restore_bitmap_filter(snapshot).has_value());
+  EXPECT_FALSE(restore_bitmap_filter_checked(snapshot).ok());
 }
 
 TEST(Snapshot, CheckedRestoreNamesTheFailure) {
@@ -203,6 +205,54 @@ TEST(Snapshot, StaleSnapshotRejectedWithGap) {
 
   // Without a `now` the staleness check is skipped (legacy behaviour).
   EXPECT_TRUE(restore_bitmap_filter_checked(snapshot).ok());
+}
+
+/// A seeded bitmap filter on a non-default geometry (bits, k, m, dt,
+/// hash seed, hole-punching keys) after several rotations.
+BitmapFilter golden_filter() {
+  BitmapFilterConfig config;
+  config.log2_bits = 12;
+  config.vector_count = 5;
+  config.hash_count = 4;
+  config.rotate_interval = Duration::sec(2.5);
+  config.hash_seed = 0x5eedf00dULL;
+  config.key_mode = KeyMode::kHolePunching;
+  BitmapFilter filter{config};
+  Rng rng{7};
+  double t = 0.0;
+  for (int i = 0; i < 1500; ++i) {
+    t += rng.exponential(0.01);
+    filter.advance_time(SimTime::from_sec(t));
+    filter.record_outbound(
+        pkt_of(tuple_n(static_cast<std::uint32_t>(rng.next_below(600))), t));
+  }
+  return filter;
+}
+
+// The image bytes are a compatibility contract: files written by older
+// builds must restore in newer ones. These goldens lock the UBMF v2
+// image and the UBCK v1 envelope byte for byte (length + CRC-32).
+TEST(Snapshot, BitmapImageBytesAreLocked) {
+  const BitmapFilter filter = golden_filter();
+  ASSERT_GT(filter.rotations(), 3u);
+  const auto image = snapshot_bitmap_filter(filter, SimTime::from_sec(15.0));
+  EXPECT_EQ(image.size(), 72u + 5u * (1u << 12) / 8u);
+  EXPECT_EQ(crc32(image), 0xaa7492e8u);
+}
+
+TEST(Snapshot, CheckpointEnvelopeBytesAreLocked) {
+  const auto image =
+      snapshot_bitmap_filter(golden_filter(), SimTime::from_sec(15.0));
+  live::CheckpointMeta meta;
+  meta.time = SimTime::from_sec(15.0);
+  meta.policy_low = 1.5e6;
+  meta.policy_high = 6e6;
+  meta.rotate_interval = Duration::sec(2.5);
+  meta.tenant_epoch = 3;
+  meta.meter_window = Duration::sec(1.0);
+  const auto envelope = live::encode_checkpoint(42, meta, image);
+  EXPECT_EQ(envelope.size(), 76u + image.size());
+  EXPECT_EQ(crc32(envelope), 0x06a0dfadu);
 }
 
 }  // namespace

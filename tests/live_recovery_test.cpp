@@ -229,7 +229,8 @@ TEST(CheckpointRestore, NewestWinsAndBadGenerationsFallBack) {
   // Truncate generation 2 mid-payload.
   std::filesystem::resize_file(gen2, 80);
 
-  const CheckpointRestore restore = restore_newest_checkpoint(dir);
+  const CheckpointRestore restore =
+      restore_newest_checkpoint(dir, bitmap_filter_spec(config));
   ASSERT_TRUE(restore.ok()) << restore.report();
   EXPECT_EQ(restore.generation, 1u);
   EXPECT_EQ(restore.path, gen1);
@@ -238,8 +239,7 @@ TEST(CheckpointRestore, NewestWinsAndBadGenerationsFallBack) {
       << restore.skipped[0];
   EXPECT_NE(restore.skipped[1].find("truncated"), std::string::npos)
       << restore.skipped[1];
-  BitmapFilter thawed = std::move(restore.filter->filter);
-  EXPECT_TRUE(thawed.admits_inbound(inbound_probe(0.6)));
+  EXPECT_TRUE(restore.filter->admits_inbound(inbound_probe(0.6)));
   std::filesystem::remove_all(dir);
 }
 
@@ -255,7 +255,8 @@ TEST(CheckpointRestore, RenamedFileIsGenerationMismatch) {
   // honest generation 1 still restores.
   std::filesystem::copy_file(
       gen1, std::filesystem::path(dir) / "checkpoint-00000009.ubck");
-  const CheckpointRestore restore = restore_newest_checkpoint(dir);
+  const CheckpointRestore restore =
+      restore_newest_checkpoint(dir, bitmap_filter_spec(config));
   ASSERT_TRUE(restore.ok()) << restore.report();
   EXPECT_EQ(restore.generation, 1u);
   ASSERT_EQ(restore.skipped.size(), 1u);
@@ -270,7 +271,8 @@ TEST(CheckpointRestore, AllGenerationsBadIsTypedFailure) {
              "definitely not a checkpoint envelope, but long enough to "
              "clear the header-size gate and fail on the magic instead");
   write_text(dir + "/not-a-checkpoint.txt", "ignored entirely");
-  const CheckpointRestore restore = restore_newest_checkpoint(dir);
+  const CheckpointRestore restore =
+      restore_newest_checkpoint(dir, bitmap_filter_spec());
   EXPECT_FALSE(restore.ok());
   ASSERT_EQ(restore.skipped.size(), 1u);
   EXPECT_NE(restore.skipped[0].find("bad-magic"), std::string::npos)
@@ -294,15 +296,16 @@ TEST(CheckpointRestore, StaleGenerationSkippedWhenNowProvided) {
 
   // In-process restart far past T_e: every mark in the snapshot would
   // have expired anyway, so restoring would only fake a warm start.
+  const FilterSpec spec = bitmap_filter_spec(config);
   const CheckpointRestore stale =
-      restore_newest_checkpoint(dir, SimTime::from_sec(60.0));
+      restore_newest_checkpoint(dir, spec, SimTime::from_sec(60.0));
   EXPECT_FALSE(stale.ok());
   ASSERT_EQ(stale.skipped.size(), 1u);
   EXPECT_NE(stale.skipped[0].find("stale"), std::string::npos)
       << stale.skipped[0];
 
   // Cross-process restart (monotonic epochs not comparable): restores.
-  EXPECT_TRUE(restore_newest_checkpoint(dir, std::nullopt).ok());
+  EXPECT_TRUE(restore_newest_checkpoint(dir, spec, std::nullopt).ok());
   std::filesystem::remove_all(dir);
 }
 
@@ -317,7 +320,8 @@ TEST(CheckpointRestore, FaultInjectedCorruptionFallsBackOneGeneration) {
   ck.write_checkpoint();
   ck.write_checkpoint();  // generation 2: payload byte flipped post-CRC
 
-  const CheckpointRestore restore = restore_newest_checkpoint(dir);
+  const CheckpointRestore restore =
+      restore_newest_checkpoint(dir, bitmap_filter_spec(config));
   ASSERT_TRUE(restore.ok()) << restore.report();
   EXPECT_EQ(restore.generation, 1u);
   ASSERT_EQ(restore.skipped.size(), 1u);
@@ -345,9 +349,10 @@ TEST(CheckpointRestore, RotationBoundarySnapshotRestoresWithoutDoubleRotate) {
                   provider_for(filter, &at_sec)};
   ck.write_checkpoint();
 
-  const CheckpointRestore restore = restore_newest_checkpoint(dir);
+  const CheckpointRestore restore =
+      restore_newest_checkpoint(dir, bitmap_filter_spec(config));
   ASSERT_TRUE(restore.ok()) << restore.report();
-  BitmapFilter thawed = std::move(restore.filter->filter);
+  auto& thawed = dynamic_cast<BitmapFilter&>(*restore.filter);
   EXPECT_EQ(thawed.rotations(), rotations_at_snapshot);
 
   // Re-observing the boundary time is a no-op...
@@ -464,6 +469,97 @@ TEST(LiveRestore, CheckpointingRequiresSnapshotCapableBackend) {
   EXPECT_FALSE(reply.ok);
   EXPECT_EQ(reply.code, "unsupported:checkpoint");
   std::filesystem::remove_all(dir);
+}
+
+TEST(LiveRestore, GeometryMismatchFallsBackToOlderMatchingGeneration) {
+  const std::string dir = temp_dir("live_geo_fallback");
+  {
+    DatapathFixture wide{small_bitmap_spec(/*log2_bits=*/14), dir};
+    wide.mark(1.0);
+    EXPECT_TRUE(wide.datapath->control_checkpoint().ok);  // generation 1
+  }
+  {
+    DatapathFixture narrow{small_bitmap_spec(/*log2_bits=*/12), dir};
+    EXPECT_TRUE(narrow.datapath->control_checkpoint().ok);  // generation 2
+  }
+  DatapathFixture reader{small_bitmap_spec(/*log2_bits=*/14)};
+  const CheckpointRestore restore =
+      reader.datapath->restore_checkpoint_dir(dir);
+  ASSERT_TRUE(restore.ok()) << restore.report();
+  EXPECT_EQ(restore.generation, 1u);
+  ASSERT_EQ(restore.skipped.size(), 1u);
+  EXPECT_EQ(restore.skipped[0], "checkpoint-00000002.ubck: geometry-mismatch");
+  EXPECT_TRUE(reader.admits(1.1));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LiveRestore, RestoreOnBackendWithoutImageIsRefused) {
+  const std::string dir = temp_dir("live_restore_nocap");
+  {
+    DatapathFixture writer{small_bitmap_spec(), dir};
+    EXPECT_TRUE(writer.datapath->control_checkpoint().ok);
+  }
+  // The default datapath backend has no state image: the restore is
+  // refused up front, naming the capable backends -- not reported as a
+  // geometry mismatch of every generation.
+  MapFilterArgs args;
+  const FilterSpec blocked =
+      FilterRegistry::instance().at("bitmap-blocked").parse(args);
+  DatapathFixture reader{blocked};
+  try {
+    reader.datapath->restore_checkpoint_dir(dir);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(
+                  "snapshot-capable filter backend (supported: bitmap)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(restore_newest_checkpoint(dir, blocked), std::invalid_argument);
+  std::filesystem::remove_all(dir);
+}
+
+/// The metadata of the newest generation in `dir`.
+CheckpointMeta newest_meta(const std::string& dir) {
+  std::string newest;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    newest = std::max(newest, entry.path().string());
+  }
+  const auto bytes = load_snapshot_file(newest);
+  EXPECT_TRUE(bytes.has_value()) << newest;
+  const CheckpointDecodeResult decoded =
+      decode_checkpoint(bytes.value_or(std::vector<std::uint8_t>{}));
+  EXPECT_TRUE(decoded.ok()) << checkpoint_error_name(decoded.error);
+  return decoded.ok() ? decoded.decoded->meta : CheckpointMeta{};
+}
+
+TEST(LiveRestore, EnvelopeDtFollowsTheRunningFilter) {
+  // The envelope records the running dt: the configured one, then every
+  // `set dt` and `reload` retune, and after a restore the image's own dt.
+  const std::string dir = temp_dir("live_dt");
+  const std::string reload_path =
+      write_text(::testing::TempDir() + "reload_dt3.conf",
+                 "filter bitmap\nbits 14\ndt 3\n");
+  {
+    DatapathFixture fx{small_bitmap_spec(), dir};
+    ASSERT_TRUE(fx.datapath->control_checkpoint().ok);
+    EXPECT_EQ(newest_meta(dir).rotate_interval, Duration::sec(5.0));
+    ASSERT_TRUE(
+        fx.datapath->control_set_rotate_interval(Duration::sec(2.0)).ok);
+    ASSERT_TRUE(fx.datapath->control_checkpoint().ok);
+    EXPECT_EQ(newest_meta(dir).rotate_interval, Duration::sec(2.0));
+    ASSERT_TRUE(fx.datapath->reload_from_file(reload_path).ok);
+    ASSERT_TRUE(fx.datapath->control_checkpoint().ok);
+    EXPECT_EQ(newest_meta(dir).rotate_interval, Duration::sec(3.0));
+  }
+  const std::string dir2 = temp_dir("live_dt_restored");
+  DatapathFixture restarted{small_bitmap_spec(), dir2};  // configured dt 5
+  ASSERT_TRUE(restarted.datapath->restore_checkpoint_dir(dir).ok());
+  ASSERT_TRUE(restarted.datapath->control_checkpoint().ok);
+  EXPECT_EQ(newest_meta(dir2).rotate_interval, Duration::sec(3.0));
+  ::unlink(reload_path.c_str());
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(dir2);
 }
 
 // ---------------------------------------------------------------------
