@@ -117,10 +117,9 @@ AnalyzerReport TrafficAnalyzer::finish() {
               return a.bytes > b.bytes;
             });
 
-  // Fig. 5 samples.
-  for (const double d : out_in_.delays().sorted()) {
-    report.out_in_delays.add(d);
-  }
+  // Fig. 5 samples: sorted once in the tracker, copied already sorted.
+  out_in_.delays().sorted();
+  report.out_in_delays = out_in_.delays();
 
   return report;
 }

@@ -3,9 +3,9 @@
 namespace upbound {
 
 ConnectionRecord& ConnTable::update(const PacketRecord& pkt, Direction dir) {
-  auto [it, inserted] = table_.try_emplace(pkt.tuple);
-  ConnectionRecord& rec = it->second;
-  if (inserted) {
+  const std::size_t before = index_.size();
+  ConnectionRecord& rec = index_.find_or_insert(pkt.tuple.canonical());
+  if (index_.size() != before) {
     rec.tuple = pkt.tuple;
     rec.first_direction = dir;
     rec.first_packet_time = pkt.timestamp;
@@ -30,18 +30,21 @@ ConnectionRecord& ConnTable::update(const PacketRecord& pkt, Direction dir) {
 }
 
 const ConnectionRecord* ConnTable::find(const FiveTuple& tuple) const {
-  const auto it = table_.find(tuple);
-  return it == table_.end() ? nullptr : &it->second;
+  return index_.find(tuple.canonical());
 }
 
 void ConnTable::for_each(
     const std::function<void(const ConnectionRecord&)>& fn) const {
-  for (const auto& [tuple, rec] : table_) fn(rec);
+  for (Index::Position pos = 0; pos < index_.size(); ++pos) {
+    fn(index_.value_at(pos));
+  }
 }
 
 void ConnTable::for_each_mutable(
     const std::function<void(ConnectionRecord&)>& fn) {
-  for (auto& [tuple, rec] : table_) fn(rec);
+  for (Index::Position pos = 0; pos < index_.size(); ++pos) {
+    fn(index_.value_at(pos));
+  }
 }
 
 }  // namespace upbound

@@ -11,15 +11,17 @@ OutInDelayTracker::OutInDelayTracker(Duration expiry_timer)
   }
 }
 
+void OutInDelayTracker::expire(FlatPosition pos) {
+  recency_.unlink(pairs_, pos);
+  pairs_.value_at(pos).live = false;
+  --live_;
+  ++expired_;
+}
+
 void OutInDelayTracker::sweep(SimTime now) {
-  while (!queue_.empty() && queue_.front().first + expiry_ <= now) {
-    const FiveTuple key = queue_.front().second;
-    queue_.pop_front();
-    const auto it = last_out_.find(key);
-    if (it != last_out_.end() && it->second + expiry_ <= now) {
-      last_out_.erase(it);
-      ++expired_;
-    }
+  while (recency_.back() != kNilPosition &&
+         pairs_.value_at(recency_.back()).last + expiry_ <= now) {
+    expire(recency_.back());
   }
 }
 
@@ -27,19 +29,24 @@ void OutInDelayTracker::on_packet(const PacketRecord& pkt, Direction dir) {
   sweep(pkt.timestamp);
   if (dir == Direction::kOutbound) {
     // Step 1: record or refresh sigma_out's timestamp.
-    const auto [it, inserted] =
-        last_out_.try_emplace(pkt.tuple, pkt.timestamp);
-    if (!inserted) it->second = pkt.timestamp;
-    queue_.emplace_back(pkt.timestamp, pkt.tuple);
+    Pair& pair = pairs_.find_or_insert(pkt.tuple);
+    const FlatPosition pos = pairs_.position_of(pair);
+    pair.last = pkt.timestamp;
+    if (pair.live) {
+      recency_.move_to_front(pairs_, pos);
+    } else {
+      pair.live = true;
+      ++live_;
+      recency_.push_front(pairs_, pos);
+    }
   } else if (dir == Direction::kInbound) {
     // Step 2: look up the inverse socket pair.
-    const auto it = last_out_.find(pkt.tuple.inverse());
-    if (it == last_out_.end()) return;
-    const Duration delay = pkt.timestamp - it->second;
+    const Pair* pair = pairs_.find(pkt.tuple.inverse());
+    if (pair == nullptr || !pair->live) return;
+    const Duration delay = pkt.timestamp - pair->last;
     if (delay > expiry_) {
       // Step 3: stale pair (port reuse); drop it instead of sampling.
-      last_out_.erase(it);
-      ++expired_;
+      expire(pairs_.position_of(*pair));
       return;
     }
     delays_.add(delay.to_sec());

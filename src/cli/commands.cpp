@@ -576,11 +576,21 @@ int cmd_analyze(const Args& args) {
       return 1;
     }
     std::size_t flows = 0;
+    bool written = true;
     for (const auto& packet : export_netflow_v5(analyzer.connections())) {
-      std::fwrite(packet.data(), 1, packet.size(), f);
+      if (std::fwrite(packet.data(), 1, packet.size(), f) != packet.size()) {
+        written = false;
+        break;
+      }
       flows += (packet.size() - kNetflowV5HeaderSize) / kNetflowV5RecordSize;
     }
-    std::fclose(f);
+    // fclose flushes the buffered tail, so it can fail where fwrite did not.
+    written = std::fclose(f) == 0 && written;
+    if (!written) {
+      std::fprintf(stderr, "error: short write on NetFlow export to %s\n",
+                   netflow_out.c_str());
+      return 1;
+    }
     std::printf("\nexported %zu NetFlow v5 records to %s\n", flows,
                 netflow_out.c_str());
   }

@@ -1,7 +1,6 @@
 #include "net/five_tuple.h"
 
 #include <cstdio>
-#include <tuple>
 
 #include "util/hash.h"
 
@@ -13,12 +12,6 @@ const char* protocol_name(Protocol p) {
     case Protocol::kUdp: return "UDP";
   }
   return "?";
-}
-
-FiveTuple FiveTuple::canonical() const {
-  const auto src = std::make_tuple(src_addr.value(), src_port);
-  const auto dst = std::make_tuple(dst_addr.value(), dst_port);
-  return src <= dst ? *this : inverse();
 }
 
 std::string FiveTuple::to_string() const {

@@ -35,7 +35,13 @@ struct FiveTuple {
   /// Direction-independent connection identity: the lexicographically
   /// smaller endpoint is placed first, so a tuple and its inverse map to
   /// the same key. Used by connection tables.
-  FiveTuple canonical() const;
+  FiveTuple canonical() const {
+    const std::uint64_t src =
+        (std::uint64_t{src_addr.value()} << 16) | src_port;
+    const std::uint64_t dst =
+        (std::uint64_t{dst_addr.value()} << 16) | dst_port;
+    return src <= dst ? *this : inverse();
+  }
 
   bool operator==(const FiveTuple&) const = default;
 
@@ -51,6 +57,23 @@ void encode_tuple_key(const FiveTuple& t,
 
 /// Stable 64-bit hash of the tuple (direction-sensitive).
 std::uint64_t tuple_hash(const FiveTuple& t, std::uint64_t seed = 0);
+
+/// Cheap 64-bit mix of the tuple (direction-sensitive) whose high bits are
+/// well spread: the FlatIndex home-slot hash of the analyzer's tables. It
+/// may change between versions, so nothing persisted or exported may
+/// depend on it; tuple_hash is the stable hash.
+struct TupleMix {
+  std::uint64_t operator()(const FiveTuple& t) const {
+    const std::uint64_t addrs =
+        (std::uint64_t{t.src_addr.value()} << 32) | t.dst_addr.value();
+    const std::uint64_t rest = (std::uint64_t{t.src_port} << 24) |
+                               (std::uint64_t{t.dst_port} << 8) |
+                               static_cast<std::uint64_t>(t.protocol);
+    std::uint64_t h = addrs * 0x9e3779b97f4a7c15ULL;
+    h ^= rest ^ (h >> 29);
+    return h * 0xbf58476d1ce4e5b9ULL;
+  }
+};
 
 /// Hasher for unordered containers keyed by exact (directional) tuples.
 struct FiveTupleHash {

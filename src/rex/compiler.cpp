@@ -13,10 +13,50 @@ class Compiler {
   Program run(const Node& root) {
     emit_node(root);
     emit(OpCode::kMatch);
+    analyze_entry();
     return std::move(program_);
   }
 
  private:
+  /// Walks the epsilon closure of pc 0 at position 0 of a non-empty input
+  /// (`^` holds there, `$` does not) and records what it can consume.
+  void analyze_entry() {
+    Program& p = program_;
+    p.anchored = p.code.front().op == OpCode::kAssertStart;
+    std::vector<bool> seen(p.code.size(), false);
+    std::vector<std::uint32_t> stack{0};
+    while (!stack.empty()) {
+      const std::uint32_t pc = stack.back();
+      stack.pop_back();
+      if (seen[pc]) continue;
+      seen[pc] = true;
+      const Instruction& ins = p.code[pc];
+      switch (ins.op) {
+        case OpCode::kByteSet:
+          p.first_bytes |= p.classes[ins.arg1];
+          break;
+        case OpCode::kAny:
+          p.first_bytes.set();
+          break;
+        case OpCode::kSplit:
+          stack.push_back(ins.arg2);
+          stack.push_back(ins.arg1);
+          break;
+        case OpCode::kJump:
+          stack.push_back(ins.arg1);
+          break;
+        case OpCode::kAssertStart:
+          stack.push_back(pc + 1);
+          break;
+        case OpCode::kAssertEnd:
+          break;
+        case OpCode::kMatch:
+          p.matches_empty_prefix = true;
+          break;
+      }
+    }
+  }
+
   std::uint32_t emit(OpCode op, std::uint32_t arg1 = 0,
                      std::uint32_t arg2 = 0) {
     program_.code.push_back(Instruction{op, arg1, arg2});

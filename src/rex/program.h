@@ -29,6 +29,18 @@ struct Program {
   std::vector<Instruction> code;
   std::vector<ByteSet> classes;  // referenced by kByteSet.arg1
 
+  // Entry facts, filled in by compile() from the epsilon closure of pc 0
+  // at input position 0 of a non-empty input.
+  /// code[0] is kAssertStart: no match can begin past offset 0, so an
+  /// unanchored search is an anchored one.
+  bool anchored = false;
+  /// Bytes some consuming instruction of the closure accepts: an anchored
+  /// run over input whose first byte is outside the set cannot match,
+  /// unless `matches_empty_prefix`.
+  ByteSet first_bytes;
+  /// The closure reaches kMatch: every non-empty input matches at offset 0.
+  bool matches_empty_prefix = false;
+
   std::size_t size() const { return code.size(); }
 
   /// Human-readable disassembly for debugging.

@@ -1,5 +1,7 @@
 #include "rex/vm.h"
 
+#include <algorithm>
+
 namespace upbound::rex {
 
 void PikeVm::add_thread(const Program& program, std::uint32_t pc,
@@ -7,30 +9,29 @@ void PikeVm::add_thread(const Program& program, std::uint32_t pc,
                         std::vector<std::uint32_t>& list) {
   // Iterative epsilon closure; the explicit stack keeps deep programs from
   // overflowing the call stack.
-  thread_local std::vector<std::uint32_t> stack;
-  stack.clear();
-  stack.push_back(pc);
-  while (!stack.empty()) {
-    const std::uint32_t p = stack.back();
-    stack.pop_back();
+  stack_.clear();
+  stack_.push_back(pc);
+  while (!stack_.empty()) {
+    const std::uint32_t p = stack_.back();
+    stack_.pop_back();
     if (seen_[p] == generation_) continue;
     seen_[p] = generation_;
     const Instruction& ins = program.code[p];
     switch (ins.op) {
       case OpCode::kJump:
-        stack.push_back(ins.arg1);
+        stack_.push_back(ins.arg1);
         break;
       case OpCode::kSplit:
         // Push arg2 first so arg1 (the greedy branch) is explored first;
         // for boolean matching order does not change the answer.
-        stack.push_back(ins.arg2);
-        stack.push_back(ins.arg1);
+        stack_.push_back(ins.arg2);
+        stack_.push_back(ins.arg1);
         break;
       case OpCode::kAssertStart:
-        if (pos == 0) stack.push_back(p + 1);
+        if (pos == 0) stack_.push_back(p + 1);
         break;
       case OpCode::kAssertEnd:
-        if (pos == input_size) stack.push_back(p + 1);
+        if (pos == input_size) stack_.push_back(p + 1);
         break;
       case OpCode::kMatch:
         matched_ = true;
@@ -42,22 +43,37 @@ void PikeVm::add_thread(const Program& program, std::uint32_t pc,
   }
 }
 
+void PikeVm::next_generation() {
+  if (++generation_ == 0) {
+    std::fill(seen_.begin(), seen_.end(), 0);
+    generation_ = 1;
+  }
+}
+
 bool PikeVm::run(const Program& program, std::span<const std::uint8_t> input,
                  bool anchored) {
+  // An anchored match must consume a first byte the entry closure accepts
+  // (or match empty): reject the rest without touching the VM state.
+  if (anchored && !input.empty() && !program.matches_empty_prefix &&
+      !program.first_bytes.test(input[0])) {
+    return false;
+  }
   current_.clear();
   next_.clear();
-  seen_.assign(program.code.size(), 0);
-  generation_ = 0;
+  if (seen_.size() != program.code.size()) {
+    seen_.assign(program.code.size(), 0);
+    generation_ = 0;
+  }
   matched_ = false;
 
-  ++generation_;
+  next_generation();
   add_thread(program, 0, 0, input.size(), current_);
   if (matched_) return true;
 
   for (std::size_t pos = 0; pos < input.size(); ++pos) {
     if (current_.empty() && (anchored || matched_)) break;
     const std::uint8_t byte = input[pos];
-    ++generation_;
+    next_generation();
     next_.clear();
     for (const std::uint32_t pc : current_) {
       const Instruction& ins = program.code[pc];
@@ -86,7 +102,7 @@ bool PikeVm::match_at_start(const Program& program,
 
 bool PikeVm::search(const Program& program,
                     std::span<const std::uint8_t> input) {
-  return run(program, input, /*anchored=*/false);
+  return run(program, input, program.anchored);
 }
 
 }  // namespace upbound::rex

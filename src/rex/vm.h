@@ -19,6 +19,7 @@ class PikeVm {
                       std::span<const std::uint8_t> input);
 
   /// True if the pattern matches anywhere in the input (unanchored search).
+  /// A program compiled as `anchored` runs anchored.
   bool search(const Program& program, std::span<const std::uint8_t> input);
 
  private:
@@ -29,8 +30,13 @@ class PikeVm {
   void add_thread(const Program& program, std::uint32_t pc, std::size_t pos,
                   std::size_t input_size, std::vector<std::uint32_t>& list);
 
+  /// Starts a new epsilon-closure generation; clears the stamps only when
+  /// the counter wraps.
+  void next_generation();
+
   std::vector<std::uint32_t> current_;
   std::vector<std::uint32_t> next_;
+  std::vector<std::uint32_t> stack_;   // add_thread's closure stack
   std::vector<std::uint32_t> seen_;    // generation stamps per pc
   std::uint32_t generation_ = 0;
   bool matched_ = false;

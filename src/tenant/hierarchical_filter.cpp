@@ -71,11 +71,7 @@ HierarchicalFilter::TenantEntry* HierarchicalFilter::live_entry(
   TenantEntry* entry = tenants_.find(tenant);
   if (entry == nullptr || entry->fine == nullptr) return nullptr;
   entry->fine->advance_time(clock_);
-  const Position pos = tenants_.position_of(*entry);
-  if (pos != lru_head_) {
-    lru_unlink(pos);
-    lru_push_front(pos);
-  }
+  lru_.move_to_front(tenants_, tenants_.position_of(*entry));
   return entry;
 }
 
@@ -85,7 +81,7 @@ HierarchicalFilter::TenantEntry& HierarchicalFilter::entry_for(
   if (live_ >= config_.fine_cap) evict_lru();
   // Insertion may move other entries; positions stay valid.
   TenantEntry& entry = tenants_.find_or_insert(tenant);
-  lru_push_front(tenants_.position_of(entry));
+  lru_.push_front(tenants_, tenants_.position_of(entry));
   ++live_;
   entry.fine = make_state_filter(config_.fine);
   entry.fine->advance_time(clock_);
@@ -93,37 +89,9 @@ HierarchicalFilter::TenantEntry& HierarchicalFilter::entry_for(
   return entry;
 }
 
-void HierarchicalFilter::lru_unlink(Position pos) {
-  TenantEntry& entry = tenants_.value_at(pos);
-  if (entry.prev != kNil) {
-    tenants_.value_at(entry.prev).next = entry.next;
-  } else {
-    lru_head_ = entry.next;
-  }
-  if (entry.next != kNil) {
-    tenants_.value_at(entry.next).prev = entry.prev;
-  } else {
-    lru_tail_ = entry.prev;
-  }
-  entry.prev = kNil;
-  entry.next = kNil;
-}
-
-void HierarchicalFilter::lru_push_front(Position pos) {
-  TenantEntry& entry = tenants_.value_at(pos);
-  entry.prev = kNil;
-  entry.next = lru_head_;
-  if (lru_head_ != kNil) {
-    tenants_.value_at(lru_head_).prev = pos;
-  } else {
-    lru_tail_ = pos;
-  }
-  lru_head_ = pos;
-}
-
 void HierarchicalFilter::evict_lru() {
-  const Position victim = lru_tail_;
-  lru_unlink(victim);
+  const Position victim = lru_.back();
+  lru_.unlink(tenants_, victim);
   TenantEntry& entry = tenants_.value_at(victim);
   entry.fine.reset();
   entry.digest.reset();
@@ -184,7 +152,7 @@ void HierarchicalFilter::prefetch(const PacketRecord& pkt,
 
 std::size_t HierarchicalFilter::storage_bytes() const {
   std::size_t total = front_->storage_bytes();
-  for (Position pos = lru_head_; pos != kNil;
+  for (Position pos = lru_.front(); pos != kNil;
        pos = tenants_.value_at(pos).next) {
     const TenantEntry& entry = tenants_.value_at(pos);
     total += entry.fine->storage_bytes();
@@ -202,7 +170,7 @@ std::vector<std::pair<TenantId, double>>
 HierarchicalFilter::tenant_occupancies() {
   std::vector<std::pair<TenantId, double>> out;
   out.reserve(live_);
-  for (Position pos = lru_head_; pos != kNil;
+  for (Position pos = lru_.front(); pos != kNil;
        pos = tenants_.value_at(pos).next) {
     TenantEntry& entry = tenants_.value_at(pos);
     entry.fine->advance_time(clock_);

@@ -131,8 +131,8 @@ class HierarchicalFilter final : public StateFilter {
 
  private:
   /// Index position; kNil ends the LRU list.
-  using Position = std::uint32_t;
-  static constexpr Position kNil = ~Position{0};
+  using Position = FlatPosition;
+  static constexpr Position kNil = kNilPosition;
 
   /// One per tenant ever marked. A live entry holds a fine filter and is
   /// linked into the LRU list; eviction drops the filter and the digest
@@ -152,9 +152,6 @@ class HierarchicalFilter final : public StateFilter {
   /// live_entry, instantiating (and evicting at the cap) when absent.
   TenantEntry& entry_for(TenantId tenant);
 
-  // Intrusive LRU list over index positions.
-  void lru_unlink(Position pos);
-  void lru_push_front(Position pos);
   /// Drops the least recently used tenant's fine filter and digest.
   void evict_lru();
 
@@ -163,8 +160,8 @@ class HierarchicalFilter final : public StateFilter {
   std::unique_ptr<StateFilter> front_;
   bool short_circuit_ = false;
   TenantIndex<TenantEntry> tenants_;
-  Position lru_head_ = kNil;  // most recently used
-  Position lru_tail_ = kNil;  // least recently used: the next victim
+  // Front: most recently used; back: the next victim.
+  PositionList<TenantIndex<TenantEntry>> lru_;
   std::size_t live_ = 0;      // entries holding a fine filter
   std::unordered_map<TenantId, StateDigest> remote_;
   SimTime clock_;

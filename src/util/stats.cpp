@@ -1,6 +1,8 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -27,9 +29,71 @@ double SummaryStats::variance() const {
 
 double SummaryStats::stddev() const { return std::sqrt(variance()); }
 
+namespace {
+
+/// Below this many samples std::sort beats the radix passes' fixed cost.
+constexpr std::size_t kRadixMinSamples = 512;
+constexpr int kRadixBits = 8;
+constexpr int kRadixPasses = 64 / kRadixBits;
+constexpr std::size_t kRadixBuckets = std::size_t{1} << kRadixBits;
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+/// Maps a non-NaN double to an unsigned key of the same order: negative
+/// values have every bit flipped, non-negative ones only the sign bit.
+/// (-0.0 sorts just before +0.0; the two compare equal as doubles.)
+std::uint64_t order_key(double x) {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+double from_order_key(std::uint64_t key) {
+  return std::bit_cast<double>((key & kSignBit) != 0 ? key & ~kSignBit
+                                                     : ~key);
+}
+
+/// LSD radix sort over order_key, kRadixBits per pass; a pass in which
+/// every key has the same digit is skipped. Returns false, leaving
+/// `samples` as it was, when a NaN is present. The scratch buffers are
+/// freed on return.
+bool radix_sort(std::vector<double>& samples) {
+  const std::size_t n = samples.size();
+  std::vector<std::uint64_t> keys(n);
+  std::array<std::array<std::size_t, kRadixBuckets>, kRadixPasses> counts{};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::isnan(samples[i])) return false;
+    const std::uint64_t key = order_key(samples[i]);
+    keys[i] = key;
+    for (int pass = 0; pass < kRadixPasses; ++pass) {
+      ++counts[pass][(key >> (pass * kRadixBits)) & (kRadixBuckets - 1)];
+    }
+  }
+  std::vector<std::uint64_t> scratch(n);
+  for (int pass = 0; pass < kRadixPasses; ++pass) {
+    const int shift = pass * kRadixBits;
+    auto& offsets = counts[pass];
+    if (offsets[(keys[0] >> shift) & (kRadixBuckets - 1)] == n) continue;
+    std::size_t sum = 0;
+    for (std::size_t& c : offsets) {
+      const std::size_t count = c;
+      c = sum;
+      sum += count;
+    }
+    for (const std::uint64_t key : keys) {
+      scratch[offsets[(key >> shift) & (kRadixBuckets - 1)]++] = key;
+    }
+    keys.swap(scratch);
+  }
+  for (std::size_t i = 0; i < n; ++i) samples[i] = from_order_key(keys[i]);
+  return true;
+}
+
+}  // namespace
+
 const std::vector<double>& CdfBuilder::sorted() const {
   if (dirty_) {
-    std::sort(samples_.begin(), samples_.end());
+    if (samples_.size() < kRadixMinSamples || !radix_sort(samples_)) {
+      std::sort(samples_.begin(), samples_.end());
+    }
     dirty_ = false;
   }
   return samples_;

@@ -53,6 +53,9 @@ class CdfBuilder {
   /// `points` > 1.
   std::vector<std::pair<double, double>> curve(std::size_t points) const;
 
+  /// The samples in ascending order, element for element what std::sort
+  /// gives. Large sample sets without NaNs are radix-sorted in linear
+  /// time; the rest go through std::sort.
   const std::vector<double>& sorted() const;
 
  private:

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "analyzer/conn_table.h"
+#include "trace/campus.h"
+#include "util/rng.h"
 
 namespace upbound {
 namespace {
@@ -116,6 +120,70 @@ TEST(ConnTable, ForEachVisitsAllRecords) {
   int visited = 0;
   table.for_each([&](const ConnectionRecord&) { ++visited; });
   EXPECT_EQ(visited, 10);
+}
+
+// for_each visits connections in the order the table first saw them, so
+// on a time-sorted trace first_packet_time never decreases.
+TEST(ConnTable, ForEachVisitsInFirstPacketOrder) {
+  CampusTraceConfig config;
+  config.duration = Duration::sec(10.0);
+  config.connections_per_sec = 60.0;
+  config.bandwidth_bps = 2e6;
+  config.seed = 23;
+  const GeneratedTrace trace = generate_campus_trace(config);
+  ASSERT_TRUE(is_time_sorted(trace.packets));
+
+  ConnTable table;
+  std::vector<FiveTuple> first_seen;
+  for (const PacketRecord& p : trace.packets) {
+    const std::size_t before = table.size();
+    table.update(p, trace.network.classify(p));
+    if (table.size() != before) first_seen.push_back(p.tuple);
+  }
+  ASSERT_EQ(table.size(), trace.connection_count);
+
+  std::vector<FiveTuple> visited;
+  SimTime previous;
+  table.for_each([&](const ConnectionRecord& rec) {
+    if (!visited.empty()) {
+      EXPECT_GE(rec.first_packet_time, previous);
+    }
+    previous = rec.first_packet_time;
+    visited.push_back(rec.tuple);
+  });
+  EXPECT_EQ(visited, first_seen);
+}
+
+// Connections are found from either side, across every growth of the
+// table, and absent tuples are not.
+TEST(ConnTable, ManyConnectionsFoundFromBothSides) {
+  ConnTable table;
+  Rng rng{31};
+  std::vector<FiveTuple> tuples;
+  for (int i = 0; i < 20000; ++i) {
+    FiveTuple t{rng.next_bool(0.5) ? Protocol::kTcp : Protocol::kUdp,
+                Ipv4Addr{static_cast<std::uint32_t>(rng.next_u64())},
+                static_cast<std::uint16_t>(rng.next_below(65536)),
+                Ipv4Addr{static_cast<std::uint32_t>(rng.next_u64())},
+                static_cast<std::uint16_t>(rng.next_below(65536))};
+    // Half the connections open from the responder's side.
+    table.update(pkt(rng.next_bool(0.5) ? t : t.inverse(), 1.0),
+                 Direction::kOutbound);
+    tuples.push_back(t);
+  }
+  ASSERT_EQ(table.size(), tuples.size());
+  for (const FiveTuple& t : tuples) {
+    const ConnectionRecord* rec = table.find(t);
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(table.find(t.inverse()), rec);
+    EXPECT_EQ(rec->tuple.canonical(), t.canonical());
+  }
+  FiveTuple absent = tuples.front();
+  absent.protocol = absent.protocol == Protocol::kTcp ? Protocol::kUdp
+                                                      : Protocol::kTcp;
+  EXPECT_EQ(table.find(absent), nullptr);
+  ++absent.src_port;
+  EXPECT_EQ(table.find(absent.inverse()), nullptr);
 }
 
 TEST(ConnectionRecord, ToStringMentionsAppAndMethod) {

@@ -126,5 +126,31 @@ TEST(NetflowExport, FullTableChunksAndSequences) {
   EXPECT_EQ(octets, trace.outbound_bytes + trace.inbound_bytes);
 }
 
+// Flows leave in first-packet order: on a time-sorted trace their start
+// times never decrease across the whole export.
+TEST(NetflowExport, FlowsLeaveInFirstPacketOrder) {
+  CampusTraceConfig config;
+  config.duration = Duration::sec(8.0);
+  config.connections_per_sec = 40.0;
+  config.bandwidth_bps = 2e6;
+  config.seed = 9;
+  const GeneratedTrace trace = generate_campus_trace(config);
+  TrafficAnalyzer analyzer{trace.network};
+  for (const PacketRecord& pkt : trace.packets) analyzer.process(pkt);
+
+  std::size_t flows = 0;
+  std::uint32_t previous_first_ms = 0;
+  for (const auto& payload : export_netflow_v5(analyzer.connections())) {
+    const auto decoded = decode_netflow_v5(payload);
+    ASSERT_TRUE(decoded.has_value());
+    for (const auto& record : decoded->records) {
+      EXPECT_GE(record.first_ms, previous_first_ms) << "flow " << flows;
+      previous_first_ms = record.first_ms;
+      ++flows;
+    }
+  }
+  EXPECT_GT(flows, 100u);
+}
+
 }  // namespace
 }  // namespace upbound

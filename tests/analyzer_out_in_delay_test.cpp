@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <tuple>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace upbound {
 namespace {
 
@@ -83,6 +91,136 @@ TEST(OutInDelay, DistinctConnectionsIndependent) {
   ASSERT_EQ(tracker.delays().count(), 2u);
   EXPECT_DOUBLE_EQ(tracker.delays().sorted()[0], 0.5);
   EXPECT_DOUBLE_EQ(tracker.delays().sorted()[1], 2.0);
+}
+
+TEST(OutInDelay, ExpiredPairComesBackOnItsNextOutboundPacket) {
+  OutInDelayTracker tracker{Duration::sec(2.0)};
+  tracker.on_packet(pkt(out_tuple(), 0.0), Direction::kOutbound);
+  tracker.on_packet(pkt(out_tuple(7), 5.0), Direction::kOutbound);  // sweeps
+  EXPECT_EQ(tracker.expired_pairs(), 1u);
+  EXPECT_EQ(tracker.tracked_pairs(), 1u);
+  tracker.on_packet(pkt(out_tuple().inverse(), 5.5), Direction::kInbound);
+  EXPECT_EQ(tracker.delays().count(), 0u);  // expired: no sample
+  tracker.on_packet(pkt(out_tuple(), 6.0), Direction::kOutbound);
+  tracker.on_packet(pkt(out_tuple().inverse(), 6.5), Direction::kInbound);
+  EXPECT_EQ(tracker.tracked_pairs(), 2u);
+  ASSERT_EQ(tracker.delays().count(), 1u);
+  EXPECT_DOUBLE_EQ(tracker.delays().sorted()[0], 0.5);
+}
+
+// The documented rule for a timestamp that regressed: the refresh stamps
+// the pair with its own (earlier) time and makes it the newest entry, so
+// it expires only once every pair refreshed before it has.
+TEST(OutInDelay, RegressedRefreshWaitsBehindNewerPairs) {
+  OutInDelayTracker tracker{Duration::sec(2.0)};
+  const FiveTuple a = out_tuple(1000);
+  const FiveTuple b = out_tuple(2000);
+  const FiveTuple c = out_tuple(3000);
+  tracker.on_packet(pkt(a, 10.0), Direction::kOutbound);
+  tracker.on_packet(pkt(b, 11.0), Direction::kOutbound);
+  tracker.on_packet(pkt(a, 9.5), Direction::kOutbound);  // regressed
+  // At 12.0 a is overdue (9.5 + 2 <= 12) but waits behind b (due 13.0).
+  tracker.on_packet(pkt(c, 12.0), Direction::kOutbound);
+  EXPECT_EQ(tracker.tracked_pairs(), 3u);
+  EXPECT_EQ(tracker.expired_pairs(), 0u);
+  // An inbound reply still compares against the stored time: 2.2 s > T_e
+  // drops the pair instead of sampling it.
+  tracker.on_packet(pkt(a.inverse(), 11.7), Direction::kInbound);
+  EXPECT_EQ(tracker.delays().count(), 0u);
+  EXPECT_EQ(tracker.expired_pairs(), 1u);
+  EXPECT_EQ(tracker.tracked_pairs(), 2u);
+  tracker.on_packet(pkt(a, 11.8), Direction::kOutbound);  // a is back
+  // At 13.5 b (due 13.0) goes, then c (due 14.0) stops the sweep.
+  tracker.on_packet(pkt(c, 13.5), Direction::kOutbound);
+  EXPECT_EQ(tracker.expired_pairs(), 2u);
+  EXPECT_EQ(tracker.tracked_pairs(), 2u);
+  tracker.on_packet(pkt(a.inverse(), 13.6), Direction::kInbound);
+  tracker.on_packet(pkt(b.inverse(), 13.6), Direction::kInbound);
+  ASSERT_EQ(tracker.delays().count(), 1u);
+  EXPECT_NEAR(tracker.delays().sorted()[0], 1.8, 1e-9);
+}
+
+/// The tracker as a timestamp map plus a FIFO of every outbound packet:
+/// the straightforward form of the three steps, for time-sorted input.
+class QueueModel {
+ public:
+  explicit QueueModel(Duration expiry) : expiry_(expiry) {}
+
+  void on_packet(const PacketRecord& p, Direction dir) {
+    while (!queue_.empty() && queue_.front().first + expiry_ <= p.timestamp) {
+      const auto it = last_.find(key(queue_.front().second));
+      queue_.pop_front();
+      if (it != last_.end() && it->second + expiry_ <= p.timestamp) {
+        last_.erase(it);
+        ++expired;
+      }
+    }
+    if (dir == Direction::kOutbound) {
+      last_[key(p.tuple)] = p.timestamp;
+      queue_.emplace_back(p.timestamp, p.tuple);
+      return;
+    }
+    const auto it = last_.find(key(p.tuple.inverse()));
+    if (it == last_.end()) return;
+    const Duration delay = p.timestamp - it->second;
+    if (delay > expiry_) {
+      last_.erase(it);
+      ++expired;
+      return;
+    }
+    delays.push_back(delay.to_sec());
+  }
+
+  std::size_t tracked() const { return last_.size(); }
+
+  std::vector<double> delays;
+  std::uint64_t expired = 0;
+
+ private:
+  using Key =
+      std::tuple<std::uint32_t, std::uint16_t, std::uint32_t, std::uint16_t>;
+
+  static Key key(const FiveTuple& t) {
+    return {t.src_addr.value(), t.src_port, t.dst_addr.value(), t.dst_port};
+  }
+
+  Duration expiry_;
+  std::map<Key, SimTime> last_;
+  std::deque<std::pair<SimTime, FiveTuple>> queue_;
+};
+
+// On time-sorted traces (ties included) the tracker gives the model's
+// samples, expirations and live pair count after every packet.
+TEST(OutInDelay, MatchesQueueModelOnSortedTraces) {
+  Rng rng{1919};
+  for (const double expiry : {0.05, 0.5, 2.0, 600.0}) {
+    SCOPED_TRACE(expiry);
+    OutInDelayTracker tracker{Duration::sec(expiry)};
+    QueueModel model{Duration::sec(expiry)};
+    std::int64_t usec = 0;
+    for (int i = 0; i < 20000; ++i) {
+      usec += static_cast<std::int64_t>(rng.next_below(4) == 0
+                                            ? 0
+                                            : rng.next_below(20000));
+      const FiveTuple t = out_tuple(static_cast<std::uint16_t>(
+          40000 + rng.next_below(300)));
+      const bool outbound = rng.next_bool(0.5);
+      PacketRecord p;
+      p.timestamp = SimTime::from_usec(usec);
+      p.tuple = outbound ? t : t.inverse();
+      const Direction dir =
+          outbound ? Direction::kOutbound : Direction::kInbound;
+      tracker.on_packet(p, dir);
+      model.on_packet(p, dir);
+      ASSERT_EQ(tracker.tracked_pairs(), model.tracked()) << "packet " << i;
+      ASSERT_EQ(tracker.expired_pairs(), model.expired) << "packet " << i;
+      ASSERT_EQ(tracker.delays().count(), model.delays.size())
+          << "packet " << i;
+    }
+    std::sort(model.delays.begin(), model.delays.end());
+    EXPECT_EQ(tracker.delays().sorted(), model.delays);
+    EXPECT_GT(model.delays.size(), 0u);
+  }
 }
 
 TEST(OutInDelay, InvalidExpiryThrows) {

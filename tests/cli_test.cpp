@@ -121,6 +121,52 @@ TEST_F(CliCommandTest, GenerateAnalyzeFilterPipeline) {
   EXPECT_GT(survivor_count, original_count / 2);
 }
 
+// A NetFlow export that cannot be written fails the command, as a pcap
+// write does. /dev/full accepts the open and fails every flush: a
+// two-connection export fits one stdio buffer and fails only at fclose,
+// a generated capture's export already fails in fwrite.
+TEST_F(CliCommandTest, AnalyzeNetflowWriteFailureExitsNonZero) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full not available";
+  }
+  const std::string small = (dir_ / "small.pcap").string();
+  const std::string large = (dir_ / "large.pcap").string();
+  const std::string flows = (dir_ / "flows.nf").string();
+  {
+    Trace trace;
+    for (std::uint16_t port : {40000, 40001}) {
+      PacketRecord pkt;
+      pkt.timestamp = SimTime::from_sec(0.001 * port);
+      pkt.tuple = FiveTuple{Protocol::kTcp, Ipv4Addr{140, 112, 30, 5}, port,
+                            Ipv4Addr{61, 2, 3, 4}, 80};
+      pkt.flags.syn = true;
+      trace.push_back(pkt);
+    }
+    PcapWriter writer{small};
+    writer.write_all(trace);
+    writer.close();
+  }
+  ASSERT_EQ(run_cli({"generate", "--out", large.c_str(), "--duration", "5",
+                     "--rate", "80", "--bandwidth", "1e6", "--seed", "7"}),
+            0);
+  struct Case {
+    const std::string& pcap;
+    std::uintmax_t min_bytes;
+    std::uintmax_t max_bytes;
+  };
+  for (const Case& c : {Case{small, 1, 1024}, Case{large, 16384, ~0u}}) {
+    SCOPED_TRACE(c.pcap);
+    ASSERT_EQ(run_cli({"analyze", "--pcap", c.pcap.c_str(), "--netflow",
+                       flows.c_str()}),
+              0);
+    EXPECT_GE(std::filesystem::file_size(flows), c.min_bytes);
+    EXPECT_LE(std::filesystem::file_size(flows), c.max_bytes);
+    EXPECT_EQ(run_cli({"analyze", "--pcap", c.pcap.c_str(), "--netflow",
+                       "/dev/full"}),
+              1);
+  }
+}
+
 TEST_F(CliCommandTest, FilterVariants) {
   const std::string trace = (dir_ / "trace.pcap").string();
   ASSERT_EQ(run_cli({"generate", "--out", trace.c_str(), "--duration", "3",

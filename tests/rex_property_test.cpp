@@ -1,9 +1,11 @@
 // Property tests: the Pike VM is cross-checked against a tiny brute-force
-// backtracking matcher over a restricted grammar (literals, '.', '*', '?')
-// on random inputs, and structural invariants are exercised with random
-// byte strings.
+// backtracking matcher over a restricted grammar (an optional leading '^',
+// literals, '.', '*', '?', an optional trailing '$', optional case
+// folding) on random inputs, and structural invariants are exercised with
+// random byte strings.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <string>
 
 #include "rex/regex.h"
@@ -12,11 +14,23 @@
 namespace upbound::rex {
 namespace {
 
-// Reference semantics for patterns limited to: literal bytes, '.', and
-// postfix '*' / '?' on the preceding element. Anchored full-scan search.
+// Reference semantics for patterns limited to: an optional leading '^',
+// literal bytes, '.', postfix '*' / '?' on the preceding element, and an
+// optional trailing '$'. Backtracking search from every start offset (only
+// offset 0 after '^'); `ignore_case` folds ASCII letters.
 class ReferenceMatcher {
  public:
-  explicit ReferenceMatcher(std::string_view pattern) {
+  explicit ReferenceMatcher(std::string_view pattern,
+                            bool ignore_case = false)
+      : ignore_case_(ignore_case) {
+    if (!pattern.empty() && pattern.front() == '^') {
+      anchored_ = true;
+      pattern.remove_prefix(1);
+    }
+    if (!pattern.empty() && pattern.back() == '$') {
+      end_anchored_ = true;
+      pattern.remove_suffix(1);
+    }
     for (std::size_t i = 0; i < pattern.size(); ++i) {
       Element e;
       e.byte = pattern[i];
@@ -32,10 +46,16 @@ class ReferenceMatcher {
   }
 
   bool search(std::string_view input) const {
-    for (std::size_t start = 0; start <= input.size(); ++start) {
+    const std::size_t last_start = anchored_ ? 0 : input.size();
+    for (std::size_t start = 0; start <= last_start; ++start) {
       if (match_here(0, input, start)) return true;
     }
     return false;
+  }
+
+  /// A match starting at offset 0.
+  bool match_prefix(std::string_view input) const {
+    return match_here(0, input, 0);
   }
 
  private:
@@ -47,12 +67,15 @@ class ReferenceMatcher {
   };
 
   bool consumes(const Element& e, char c) const {
-    return e.any || e.byte == c;
+    if (e.any || e.byte == c) return true;
+    return ignore_case_ &&
+           std::tolower(static_cast<unsigned char>(e.byte)) ==
+               std::tolower(static_cast<unsigned char>(c));
   }
 
   bool match_here(std::size_t ei, std::string_view input,
                   std::size_t pos) const {
-    if (ei == elements_.size()) return true;
+    if (ei == elements_.size()) return !end_anchored_ || pos == input.size();
     const Element& e = elements_[ei];
     if (e.star) {
       for (std::size_t k = pos;; ++k) {
@@ -69,6 +92,9 @@ class ReferenceMatcher {
            match_here(ei + 1, input, pos + 1);
   }
 
+  bool ignore_case_ = false;
+  bool anchored_ = false;
+  bool end_anchored_ = false;
   std::vector<Element> elements_;
 };
 
@@ -105,6 +131,92 @@ TEST(RexProperty, AgreesWithReferenceOnRandomPatterns) {
     }
   }
   EXPECT_EQ(checked, 400 * 25);
+}
+
+// Anchored patterns, case folding and the empty input: the anchored fast
+// path (first-byte rejection, anchored runs of '^' programs) must answer
+// search and match_prefix exactly as the reference does.
+TEST(RexProperty, AnchoredAndCaseFoldedAgreeWithReference) {
+  Rng rng{20261019};
+  static constexpr char kAlphabet[] = "abAB.";
+  int checked = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string pattern = rng.next_bool(0.6) ? "^" : "";
+    const std::size_t len = rng.next_below(5);
+    for (std::size_t i = 0; i < len; ++i) {
+      pattern += kAlphabet[rng.next_below(5)];
+      if (rng.next_bool(0.3)) pattern += rng.next_bool(0.5) ? '*' : '?';
+    }
+    if (rng.next_bool(0.2)) pattern += '$';
+    const bool ignore_case = rng.next_bool(0.5);
+    const ReferenceMatcher ref{pattern, ignore_case};
+    const Regex re{pattern, {.ignore_case = ignore_case}};
+    for (int j = 0; j < 20; ++j) {
+      std::string input;
+      const std::size_t n = j == 0 ? 0 : rng.next_below(8);
+      for (std::size_t k = 0; k < n; ++k) input += "abcAB"[rng.next_below(5)];
+      ASSERT_EQ(re.search(input), ref.search(input))
+          << "pattern '" << pattern << "' icase " << ignore_case
+          << " input '" << input << "'";
+      ASSERT_EQ(re.match_prefix(input), ref.match_prefix(input))
+          << "pattern '" << pattern << "' icase " << ignore_case
+          << " input '" << input << "'";
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 600 * 20);
+}
+
+struct AnchoredCase {
+  const char* pattern;
+  bool ignore_case;
+  const char* input;
+  bool matches;
+};
+
+// Shapes the first-byte analysis must get right: programs that match
+// empty, an optional or repeated first element, '^' in one branch only
+// (which must keep the unanchored walk), and a case-folded first byte.
+TEST(RexProperty, AnchoredEntryShapes) {
+  const AnchoredCase cases[] = {
+      {"^", false, "", true},          {"^", false, "zzz", true},
+      {"^a*", false, "", true},        {"^a*", false, "bbb", true},
+      {"^$", false, "", true},         {"^$", false, "a", false},
+      {"^a?b", false, "b", true},      {"^a?b", false, "ab", true},
+      {"^a?b", false, "cb", false},    {"^a?b", false, "", false},
+      {"^.*x", false, "abcx", true},   {"^.*x", false, "abc", false},
+      {"^a|b", false, "a", true},      {"^a|b", false, "cb", true},
+      {"^a|b", false, "ca", false},    {"^a|b", false, "", false},
+      {"^GET", true, "get /", true},   {"^GET", true, "GeT", true},
+      {"^GET", true, "xget", false},   {"^GET", false, "get", false},
+      {"^[\\x00-\\x01]x", false, "\x01x", true},
+  };
+  for (const AnchoredCase& c : cases) {
+    const Regex re{c.pattern, {.ignore_case = c.ignore_case}};
+    EXPECT_EQ(re.search(c.input), c.matches)
+        << "pattern '" << c.pattern << "' input '" << c.input << "'";
+  }
+  // match_prefix agrees with search on every '^' pattern.
+  for (const AnchoredCase& c : cases) {
+    if (std::string_view{c.pattern} == "^a|b") continue;
+    const Regex re{c.pattern, {.ignore_case = c.ignore_case}};
+    EXPECT_EQ(re.match_prefix(c.input), c.matches)
+        << "pattern '" << c.pattern << "' input '" << c.input << "'";
+  }
+}
+
+// One Regex searched many times keeps its VM scratch between calls;
+// answers must not depend on what was searched before.
+TEST(RexProperty, RepeatedSearchesAreIndependent) {
+  const Regex re{"^(ab|a)*c", {.ignore_case = true}};
+  const std::string inputs[] = {"ababc", "abx", "", "AbAC", "c", "ab"};
+  const bool expected[] = {true, false, false, true, true, false};
+  for (int round = 0; round < 50; ++round) {
+    for (std::size_t i = 0; i < std::size(inputs); ++i) {
+      ASSERT_EQ(re.search(inputs[i]), expected[i])
+          << "round " << round << " input '" << inputs[i] << "'";
+    }
+  }
 }
 
 std::string escape_all(const std::string& raw) {

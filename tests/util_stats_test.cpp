@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace upbound {
 namespace {
@@ -72,6 +79,99 @@ TEST(CdfBuilder, UnsortedInsertOrderIrrelevant) {
   for (double x : {5.0, 1.0, 3.0}) a.add(x);
   for (double x : {1.0, 3.0, 5.0}) b.add(x);
   EXPECT_DOUBLE_EQ(a.percentile(50), b.percentile(50));
+}
+
+/// Doubles that stress an order-preserving bit mapping: both zeros, both
+/// infinities, denormals, extremes, duplicates, and random values of both
+/// signs over many magnitudes.
+std::vector<double> awkward_samples(std::size_t n, std::uint64_t seed) {
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::lowest(),
+                             1.0,
+                             -1.0};
+  Rng rng{seed};
+  std::vector<double> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.next_bool(0.05)) {
+      out.push_back(specials[rng.next_below(std::size(specials))]);
+    } else if (rng.next_bool(0.2) && !out.empty()) {
+      out.push_back(out[rng.next_below(out.size())]);  // duplicate
+    } else {
+      const int exponent = static_cast<int>(rng.next_below(80)) - 40;
+      const double magnitude = std::ldexp(rng.next_double(), exponent);
+      out.push_back(rng.next_bool(0.5) ? -magnitude : magnitude);
+    }
+  }
+  return out;
+}
+
+// sorted() equals std::sort element for element on either side of the
+// radix threshold, including sizes where a digit pass is skipped.
+TEST(CdfBuilder, SortedEqualsStdSort) {
+  for (const std::size_t n : {0u, 1u, 7u, 511u, 512u, 513u, 4096u, 100000u}) {
+    SCOPED_TRACE(n);
+    const std::vector<double> samples = awkward_samples(n, 40 + n);
+    CdfBuilder cdf;
+    for (const double x : samples) cdf.add(x);
+    std::vector<double> expected = samples;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(cdf.sorted(), expected);
+    EXPECT_TRUE(std::is_sorted(cdf.sorted().begin(), cdf.sorted().end()));
+  }
+}
+
+// Samples with one shared exponent (every high digit equal) and all-equal
+// samples sort too.
+TEST(CdfBuilder, SortedHandlesNarrowRanges) {
+  CdfBuilder narrow, constant;
+  std::vector<double> expected;
+  for (int i = 0; i < 3000; ++i) {
+    const double x = 1.0 + static_cast<double>((i * 7919) % 1000) / 4096.0;
+    narrow.add(x);
+    expected.push_back(x);
+    constant.add(0.25);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(narrow.sorted(), expected);
+  EXPECT_EQ(constant.sorted(), std::vector<double>(3000, 0.25));
+}
+
+// A NaN sends the whole set through std::sort, from the insertion order.
+TEST(CdfBuilder, NanFallsBackToStdSort) {
+  std::vector<double> samples = awkward_samples(2000, 9);
+  samples[1234] = std::numeric_limits<double>::quiet_NaN();
+  CdfBuilder cdf;
+  for (const double x : samples) cdf.add(x);
+  std::vector<double> expected = samples;
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(cdf.sorted().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(cdf.sorted()[i]),
+              std::bit_cast<std::uint64_t>(expected[i]))
+        << "at " << i;
+  }
+}
+
+// Adding after a sort re-sorts: a copy taken while sorted stays sorted
+// and independent.
+TEST(CdfBuilder, AddAfterSortAndCopy) {
+  CdfBuilder cdf;
+  for (int i = 1000; i > 0; --i) cdf.add(static_cast<double>(i));
+  cdf.sorted();
+  const CdfBuilder copy = cdf;
+  cdf.add(0.5);
+  EXPECT_EQ(cdf.sorted().front(), 0.5);
+  EXPECT_EQ(cdf.count(), 1001u);
+  EXPECT_EQ(copy.count(), 1000u);
+  EXPECT_EQ(copy.sorted().front(), 1.0);
+  EXPECT_EQ(copy.sorted().back(), 1000.0);
 }
 
 TEST(CdfBuilder, CurveMonotone) {
