@@ -21,6 +21,11 @@ TrafficAnalyzer::TrafficAnalyzer(ClientNetwork network)
     : TrafficAnalyzer(config_for(std::move(network))) {}
 
 void TrafficAnalyzer::process(const PacketRecord& pkt) {
+  if (pkt.timestamp < latest_) {
+    ++out_of_order_;
+  } else {
+    latest_ = pkt.timestamp;
+  }
   const Direction dir = config_.network.classify(pkt);
   if (dir != Direction::kOutbound && dir != Direction::kInbound) {
     ++skipped_;
@@ -42,6 +47,7 @@ AnalyzerReport TrafficAnalyzer::finish() {
   AnalyzerReport report;
   report.outbound_bytes = outbound_bytes_;
   report.inbound_bytes = inbound_bytes_;
+  report.out_of_order_packets = out_of_order_;
 
   // Accumulators per application.
   struct Acc {

@@ -8,6 +8,8 @@
 //   AnalyzerReport report = analyzer.finish();
 #pragma once
 
+#include <cstdint>
+
 #include "analyzer/classifier.h"
 #include "analyzer/conn_table.h"
 #include "analyzer/out_in_delay.h"
@@ -30,7 +32,9 @@ class TrafficAnalyzer {
   /// Convenience: default configuration over the given client network.
   explicit TrafficAnalyzer(ClientNetwork network);
 
-  /// Processes one packet. Timestamps must be non-decreasing.
+  /// Processes one packet. Timestamps should be non-decreasing: a packet
+  /// whose timestamp regressed is still analyzed, and counted in
+  /// out_of_order_packets(), but it shifts the out-in delay figures.
   void process(const PacketRecord& pkt);
 
   /// Finalizes open classifications and builds the report. The analyzer
@@ -42,6 +46,8 @@ class TrafficAnalyzer {
   std::uint64_t packets_processed() const { return packets_; }
   /// Packets whose direction was local/transit (not analyzed).
   std::uint64_t packets_skipped() const { return skipped_; }
+  /// Packets whose timestamp is below the highest one seen before them.
+  std::uint64_t out_of_order_packets() const { return out_of_order_; }
 
  private:
   AnalyzerConfig config_;
@@ -50,6 +56,8 @@ class TrafficAnalyzer {
   OutInDelayTracker out_in_;
   std::uint64_t packets_ = 0;
   std::uint64_t skipped_ = 0;
+  std::uint64_t out_of_order_ = 0;
+  SimTime latest_ = SimTime::from_usec(INT64_MIN);
   std::uint64_t outbound_bytes_ = 0;
   std::uint64_t inbound_bytes_ = 0;
 };

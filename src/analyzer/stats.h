@@ -56,6 +56,9 @@ struct AnalyzerReport {
   std::uint64_t tcp_connections = 0;
   std::uint64_t udp_connections = 0;
 
+  /// Packets whose timestamp regressed; the Fig. 5 figures assume none.
+  std::uint64_t out_of_order_packets = 0;
+
   double upload_fraction() const {
     const double total =
         static_cast<double>(outbound_bytes + inbound_bytes);

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "analyzer/analyzer.h"
 #include "analyzer/host_stats.h"
@@ -74,8 +75,12 @@ BitmapFilterConfig bitmap_from(const Args& args) {
   return config;
 }
 
-// Reads a capture of either format, sniffing the magic number.
-Trace read_capture(const std::string& path, std::uint64_t* skipped) {
+// Hands each packet of a capture of either format to `visit` as it is
+// read, sniffing the magic number; returns the skipped frames (pcap) or
+// blocks (pcapng).
+template <typename Visit>
+std::uint64_t for_each_captured_packet(const std::string& path,
+                                       Visit&& visit) {
   std::uint8_t magic[4] = {0, 0, 0, 0};
   {
     std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -90,13 +95,20 @@ Trace read_capture(const std::string& path, std::uint64_t* skipped) {
                               (static_cast<std::uint32_t>(magic[3]) << 24);
   if (value == kPcapngShb) {
     PcapngReader reader{path};
-    Trace trace = reader.read_all();
-    if (skipped != nullptr) *skipped = reader.blocks_skipped();
-    return trace;
+    while (auto pkt = reader.next()) visit(*pkt);
+    return reader.blocks_skipped();
   }
   PcapReader reader{path};
-  Trace trace = reader.read_all();
-  if (skipped != nullptr) *skipped = reader.frames_skipped();
+  while (auto pkt = reader.next()) visit(*pkt);
+  return reader.frames_skipped();
+}
+
+// Reads a whole capture of either format.
+Trace read_capture(const std::string& path, std::uint64_t* skipped) {
+  Trace trace;
+  const std::uint64_t skips = for_each_captured_packet(
+      path, [&trace](PacketRecord& pkt) { trace.push_back(std::move(pkt)); });
+  if (skipped != nullptr) *skipped = skips;
   return trace;
 }
 
@@ -516,20 +528,28 @@ int cmd_analyze(const Args& args) {
   const std::string netflow_out = args.get_string("netflow", "");
   if (const int rc = reject_unconsumed(args); rc != 0) return rc;
 
-  std::uint64_t skipped = 0;
-  const Trace capture = read_capture(path, &skipped);
+  // Packets stream from the capture into the analyzer, so memory follows
+  // the connections, not the capture length.
   TrafficAnalyzer analyzer{config};
   HostAccounting hosts{config.network};
-  for (const PacketRecord& pkt : capture) {
-    analyzer.process(pkt);
-    if (top_n > 0) hosts.observe(pkt);
-  }
+  const std::uint64_t skipped =
+      for_each_captured_packet(path, [&](const PacketRecord& pkt) {
+        analyzer.process(pkt);
+        if (top_n > 0) hosts.observe(pkt);
+      });
   const AnalyzerReport report = analyzer.finish();
 
   std::printf("%llu packets (%llu skipped frames/blocks), %llu connections\n\n",
               static_cast<unsigned long long>(analyzer.packets_processed()),
               static_cast<unsigned long long>(skipped),
               static_cast<unsigned long long>(report.total_connections));
+  if (report.out_of_order_packets > 0) {
+    std::fprintf(stderr,
+                 "warning: %llu packets have a timestamp below an earlier "
+                 "packet's; the out-in delays assume time order\n",
+                 static_cast<unsigned long long>(
+                     report.out_of_order_packets));
+  }
   std::printf("%s\n", report.protocol_table().c_str());
   std::printf("upload share: %s; TCP bytes: %s; UDP connections: %s\n",
               report::percent(report.upload_fraction()).c_str(),

@@ -125,16 +125,20 @@ std::vector<std::uint8_t> encode_frame(const PacketRecord& pkt) {
   return out;
 }
 
-bool decode_frame_into(std::span<const std::uint8_t> frame,
-                       SimTime timestamp, DecodedFrame& out) {
+namespace {
+
+// The one decoder behind decode_frame and decode_frame_into.
+bool decode_into(std::span<const std::uint8_t> frame, SimTime timestamp,
+                 PacketRecord& pkt, bool& ip_checksum_ok,
+                 bool& l4_checksum_ok) {
   try {
-    // `out` may be a reused buffer: reset every field that is only
+    // `pkt` may be a reused buffer: reset every field that is only
     // conditionally written below (flags stay default for UDP, checksum
     // verdicts only resolve when the capture holds the full segment).
-    out.ip_checksum_ok = false;
-    out.l4_checksum_ok = false;
-    out.packet.flags = TcpFlags{};
-    out.packet.checksum_valid = true;
+    ip_checksum_ok = false;
+    l4_checksum_ok = false;
+    pkt.flags = TcpFlags{};
+    pkt.checksum_valid = true;
 
     ByteReader r{frame};
     r.skip(12);  // MACs
@@ -161,7 +165,6 @@ bool decode_frame_into(std::span<const std::uint8_t> frame,
     }
     if (ip_total < ihl) return false;
 
-    PacketRecord& pkt = out.packet;
     pkt.timestamp = timestamp;
     pkt.tuple.protocol = static_cast<Protocol>(proto);
     pkt.tuple.src_addr = Ipv4Addr{src};
@@ -169,11 +172,10 @@ bool decode_frame_into(std::span<const std::uint8_t> frame,
 
     const std::size_t ip_captured =
         std::min<std::size_t>(frame.size() - ip_begin, ihl);
-    out.ip_checksum_ok =
+    ip_checksum_ok =
         ip_captured >= ihl &&
         internet_checksum(frame.subspan(ip_begin, ihl)) == 0;
 
-    const std::size_t l4_begin = r.position();
     const std::uint32_t l4_total = ip_total - static_cast<std::uint32_t>(ihl);
     std::size_t l4_header;
     std::uint16_t udp_checksum_field = 1;  // nonzero unless UDP says "none"
@@ -211,16 +213,15 @@ bool decode_frame_into(std::span<const std::uint8_t> frame,
     const std::size_t l4_captured = frame.size() - (ip_begin + ihl);
     if (l4_captured >= l4_total) {
       if (pkt.tuple.protocol == Protocol::kUdp && udp_checksum_field == 0) {
-        out.l4_checksum_ok = true;  // UDP checksum disabled by sender
+        l4_checksum_ok = true;  // UDP checksum disabled by sender
       } else {
         std::uint32_t sum = pseudo_header_sum(pkt.tuple, l4_total);
         sum += sum_bytes(frame.subspan(ip_begin + ihl, l4_total));
-        out.l4_checksum_ok = fold(sum) == 0;
+        l4_checksum_ok = fold(sum) == 0;
       }
-      pkt.checksum_valid = out.l4_checksum_ok;
-      (void)l4_begin;
+      pkt.checksum_valid = l4_checksum_ok;
     }
-    if (ip_captured >= ihl && !out.ip_checksum_ok) {
+    if (ip_captured >= ihl && !ip_checksum_ok) {
       pkt.checksum_valid = false;
     }
     return true;
@@ -229,10 +230,22 @@ bool decode_frame_into(std::span<const std::uint8_t> frame,
   }
 }
 
+}  // namespace
+
+bool decode_frame_into(std::span<const std::uint8_t> frame,
+                       SimTime timestamp, PacketRecord& out) {
+  bool ip_checksum_ok = false;
+  bool l4_checksum_ok = false;
+  return decode_into(frame, timestamp, out, ip_checksum_ok, l4_checksum_ok);
+}
+
 std::optional<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame,
                                          SimTime timestamp) {
   DecodedFrame out;
-  if (!decode_frame_into(frame, timestamp, out)) return std::nullopt;
+  if (!decode_into(frame, timestamp, out.packet, out.ip_checksum_ok,
+                   out.l4_checksum_ok)) {
+    return std::nullopt;
+  }
   return out;
 }
 

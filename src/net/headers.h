@@ -34,11 +34,12 @@ struct DecodedFrame {
 std::optional<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame,
                                          SimTime timestamp);
 
-/// decode_frame into a caller-owned DecodedFrame, reusing its packet's
-/// payload capacity -- the live datapath's steady state decodes every
-/// frame without allocating. Every field of `out` is (re)assigned; on
-/// false `out` is unspecified. Same acceptance as decode_frame.
+/// decode_frame straight into a caller-owned PacketRecord, reusing its
+/// payload capacity -- the live datapath decodes every frame into its batch
+/// slot without allocating. Every field of `out` is (re)assigned, the two
+/// checksum verdicts folded into `checksum_valid`; on false `out` is
+/// unspecified. Same acceptance as decode_frame.
 bool decode_frame_into(std::span<const std::uint8_t> frame, SimTime timestamp,
-                       DecodedFrame& out);
+                       PacketRecord& out);
 
 }  // namespace upbound

@@ -136,13 +136,14 @@ void LiveDatapath::enable_control(const std::string& path,
 
 void LiveDatapath::ingest_frame(std::span<const std::uint8_t> frame,
                                 SimTime ts) {
-  if (!decode_frame_into(frame, ts, decode_scratch_)) {
+  // Decoding straight into the ring slot reuses the slot's payload
+  // capacity: the steady-state frame path performs no allocations. A
+  // frame that fails to decode leaves the slot to the next one.
+  if (!decode_frame_into(frame, ts, pending_[pending_count_])) {
     ++live_stats_.decode_errors;
     return;
   }
-  // Copy-assignment into the ring slot reuses the slot's payload
-  // capacity: the steady-state frame path performs no allocations.
-  pending_[pending_count_++] = decode_scratch_.packet;
+  ++pending_count_;
 }
 
 void LiveDatapath::on_capture_readable() {

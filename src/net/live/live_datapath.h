@@ -239,7 +239,6 @@ class LiveDatapath final : public ControlApi {
   // reuse, so the steady-state frame path performs no allocations.
   std::vector<PacketRecord> pending_;
   std::size_t pending_count_ = 0;
-  DecodedFrame decode_scratch_;
   std::vector<RouterDecision> decisions_;
   FrameSink sink_;
 

@@ -299,5 +299,29 @@ INSTANTIATE_TEST_SUITE_P(
                   {15795, 0xbd12c0a34e377731ULL}, 1767, 3, 164, 5,
                   0x267d942426e8a081ULL, {3382, 0x83ff974ecab01f49ULL}}));
 
+// Every 97th packet moved 1.5 s back, as a rewritten capture would: the
+// analyzer counts each packet whose timestamp is below the highest one
+// before it, and counts none on the time-sorted trace.
+TEST(AnalyzerOutOfOrder, CountsRegressedTimestamps) {
+  const GeneratedTrace& trace = golden_trace();
+  TrafficAnalyzer sorted{trace.network};
+  for (const PacketRecord& pkt : trace.packets) sorted.process(pkt);
+  EXPECT_EQ(sorted.out_of_order_packets(), 0u);
+  EXPECT_EQ(sorted.finish().out_of_order_packets, 0u);
+
+  Trace reordered = trace.packets;
+  std::uint64_t moved = 0;
+  for (std::size_t i = 40; i < reordered.size(); i += 97, ++moved) {
+    reordered[i].timestamp = reordered[i].timestamp - Duration::sec(1.5);
+  }
+  ASSERT_EQ(moved, 376u);
+  TrafficAnalyzer analyzer{trace.network};
+  for (const PacketRecord& pkt : reordered) analyzer.process(pkt);
+  // The trace is dense enough that every moved packet lands below its
+  // predecessor; the packet after it is above the running maximum again.
+  EXPECT_EQ(analyzer.out_of_order_packets(), moved);
+  EXPECT_EQ(analyzer.finish().out_of_order_packets, moved);
+}
+
 }  // namespace
 }  // namespace upbound

@@ -5,8 +5,11 @@
 #include <fstream>
 #include <iterator>
 
+#include "analyzer/analyzer.h"
 #include "cli/commands.h"
 #include "net/pcap.h"
+#include "net/pcapng.h"
+#include "trace/campus.h"
 
 namespace upbound::cli {
 namespace {
@@ -206,6 +209,85 @@ TEST_F(CliCommandTest, PcapngFormatEndToEnd) {
   EXPECT_EQ(run_cli({"generate", "--out", trace.c_str(), "--format",
                      "hdf5"}),
             2);
+}
+
+// `analyze` streams the records of either format into the analyzer: the
+// pcapng and pcap captures of the same packets print the same report, the
+// one an in-memory analysis of those packets gives. Regressed timestamps
+// (every 97th packet moved 1.5 s back, none before the epoch, which pcap
+// cannot store) add one warning line on stderr, which time-sorted input
+// never prints.
+TEST_F(CliCommandTest, AnalyzeStreamsEitherFormatAndWarnsOnRegressedTime) {
+  CampusTraceConfig config;
+  config.duration = Duration::sec(5.0);
+  config.connections_per_sec = 30.0;
+  config.bandwidth_bps = 2e6;
+  config.seed = 5;
+  const GeneratedTrace trace = generate_campus_trace(config);
+  Trace reordered = trace.packets;
+  for (std::size_t i = 40; i < reordered.size(); i += 97) {
+    if (reordered[i].timestamp < SimTime::from_sec(1.5)) continue;
+    reordered[i].timestamp = reordered[i].timestamp - Duration::sec(1.5);
+  }
+
+  const std::string pcapng = (dir_ / "capture.pcapng").string();
+  const std::string pcap = (dir_ / "capture.pcap").string();
+  struct Output {
+    int rc;
+    std::string out;
+    std::string err;
+  };
+  const auto analyze = [this](const std::string& path) {
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const int rc = run_cli({"analyze", "--pcap", path.c_str(), "--top", "5"});
+    std::string err = ::testing::internal::GetCapturedStderr();
+    return Output{rc, ::testing::internal::GetCapturedStdout(), err};
+  };
+  // Writes `packets` in both formats, analyzes both, and returns the
+  // regressed count and stderr through the last two arguments.
+  const auto check = [&](const Trace& packets, std::uint64_t& regressed,
+                         std::string& err) {
+    {
+      PcapngWriter writer{pcapng};
+      writer.write_all(packets);
+      writer.close();
+      PcapWriter classic{pcap};
+      classic.write_all(packets);
+      classic.close();
+    }
+    TrafficAnalyzer in_memory{trace.network};
+    for (const PacketRecord& pkt : PcapReader{pcap}.read_all()) {
+      in_memory.process(pkt);
+    }
+    const AnalyzerReport report = in_memory.finish();
+
+    const Output streamed = analyze(pcapng);
+    ASSERT_EQ(streamed.rc, 0) << streamed.err;
+    const std::string head =
+        std::to_string(in_memory.packets_processed()) +
+        " packets (0 skipped frames/blocks), " +
+        std::to_string(report.total_connections) + " connections\n\n" +
+        report.protocol_table();
+    EXPECT_EQ(streamed.out.substr(0, head.size()), head);
+    const Output classic = analyze(pcap);
+    EXPECT_EQ(classic.rc, 0);
+    EXPECT_EQ(classic.out, streamed.out);
+    EXPECT_EQ(classic.err, streamed.err);
+    regressed = report.out_of_order_packets;
+    err = streamed.err;
+  };
+
+  std::uint64_t regressed = 1;
+  std::string err = "unset";
+  check(trace.packets, regressed, err);
+  EXPECT_EQ(regressed, 0u);
+  EXPECT_EQ(err, "");
+  check(reordered, regressed, err);
+  EXPECT_GT(regressed, 0u);
+  EXPECT_EQ(err, "warning: " + std::to_string(regressed) +
+                     " packets have a timestamp below an earlier packet's; "
+                     "the out-in delays assume time order\n");
 }
 
 TEST_F(CliCommandTest, CompareRuns) {

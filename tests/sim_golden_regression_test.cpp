@@ -202,9 +202,11 @@ TEST(SimGoldenRegression, StageCountersMatchLockedSnapshot) {
 // One row per way a packet can travel through EdgeRouter besides the
 // blocklisted pure-filter run above: filters whose inbound lookup has
 // side effects (spi, hierarchical), a pure filter with the blocklist off,
-// traces with timestamps stepped backwards (clamped packets), and a
+// traces with timestamps stepped backwards (clamped packets), a
 // hierarchical filter whose tenant cap (16) sits below the trace's 200
-// client hosts, so fine filters are evicted and re-instantiated. Each
+// client hosts, so fine filters are evicted and re-instantiated, and a
+// blocklist TTL (2 s) short enough for entries to expire and be blocked
+// again inside the 40 s trace (the default 120 s never expires one). Each
 // row locks the whole EdgeRouterStats -- fields, stage counters, tenant
 // slices -- and the deterministic metrics as digests of their canonical
 // text, plus the replay series totals.
@@ -216,6 +218,7 @@ struct PathRow {
   std::uint64_t metrics_digest;
   std::array<std::uint64_t, 4> series_totals;  // offered out/in, passed out/in
   std::size_t tenant_cap = 0;  // hierarchical --tenant-cap; 0 = default
+  Duration blocklist_ttl{};    // 0 = the router default (120 s)
 };
 
 std::string stats_text(const EdgeRouterStats& s) {
@@ -265,6 +268,9 @@ TEST_P(SimGoldenPaths, RouterPathMatchesLockedStats) {
   config.network = golden_trace().network;
   config.track_blocked_connections = row.blocklist;
   config.tenancy.enabled = true;
+  if (row.blocklist_ttl > Duration{}) {
+    config.blocklist_ttl = row.blocklist_ttl;
+  }
   MapFilterArgs args;
   if (row.tenant_cap > 0) {
     args.set("tenant-cap", std::to_string(row.tenant_cap));
@@ -303,6 +309,10 @@ TEST_P(SimGoldenPaths, RouterPathMatchesLockedStats) {
     }
     EXPECT_GT(evictions, 0.0);
   }
+  if (row.blocklist_ttl > Duration{}) {
+    // Some entry expired: without expiry every insertion stays live.
+    EXPECT_LT(router.blocklist().size(), router.blocklist().total_blocked());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -329,7 +339,12 @@ INSTANTIATE_TEST_SUITE_P(
         // the filter clock.
         PathRow{"hierarchical", true, false, 0x90ad497db7ffb942,
                 0xdf0faf89e5828043,
-                {49'864'846, 7'259'228, 34'768'432, 6'113'119}, 16}));
+                {49'864'846, 7'259'228, 34'768'432, 6'113'119}, 16},
+        // Blocklist TTL 2 s: entries expire and are blocked again.
+        PathRow{"bitmap-blocked", true, false, 0xc073712017085d31,
+                0x11528237f943a78f,
+                {49'864'846, 7'259'228, 47'240'101, 7'146'674}, 0,
+                Duration::sec(2.0)}));
 
 TEST(SimGoldenRegression, ScalarAndBatchedBankAgreeExactly) {
   const GoldenMetrics batched = run_bank(/*batched=*/true);
