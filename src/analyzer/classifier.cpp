@@ -1,6 +1,7 @@
 #include "analyzer/classifier.h"
 
 #include <cctype>
+#include <stdexcept>
 #include <string>
 
 #include "util/hash.h"
@@ -50,18 +51,10 @@ std::size_t Classifier::EndpointHash::operator()(const Endpoint& e) const {
                    e.port));
 }
 
-Classifier::Classifier(ClassifierConfig config) : config_(config) {}
-
-void Classifier::expire_ftp(SimTime now) {
-  while (!ftp_expiry_queue_.empty() &&
-         ftp_expiry_queue_.front().first + config_.ftp_expect_ttl <= now) {
-    const Endpoint endpoint = ftp_expiry_queue_.front().second;
-    ftp_expiry_queue_.pop_front();
-    const auto it = ftp_expected_.find(endpoint);
-    if (it != ftp_expected_.end() &&
-        it->second + config_.ftp_expect_ttl <= now) {
-      ftp_expected_.erase(it);
-    }
+Classifier::Classifier(ClassifierConfig config)
+    : config_(config), ftp_expected_(config.ftp_expect_ttl) {
+  if (config.ftp_expect_ttl <= Duration{}) {
+    throw std::invalid_argument("Classifier: ftp_expect_ttl must be positive");
   }
 }
 
@@ -96,8 +89,7 @@ void Classifier::scan_ftp_control(ConnectionRecord& rec,
 
   if (const auto endpoint = parse_comma_quad(text, quad_pos)) {
     const Endpoint key{Protocol::kTcp, endpoint->first, endpoint->second};
-    ftp_expected_.insert_or_assign(key, pkt.timestamp);
-    ftp_expiry_queue_.emplace_back(pkt.timestamp, key);
+    ftp_expected_.touch(key, pkt.timestamp);
   }
   (void)rec;
 }
@@ -161,7 +153,7 @@ void Classifier::finalize(ConnectionRecord& rec) {
 }
 
 void Classifier::observe(ConnectionRecord& rec, const PacketRecord& pkt) {
-  expire_ftp(pkt.timestamp);
+  ftp_expected_.sweep(pkt.timestamp);
 
   // FTP control connections keep being scanned for data-channel
   // announcements even after classification (paper strategy 2).
@@ -177,8 +169,7 @@ void Classifier::observe(ConnectionRecord& rec, const PacketRecord& pkt) {
   if (config_.enable_ftp_tracking && rec.total_packets() <= 1) {
     const Endpoint target{rec.tuple.protocol, rec.tuple.dst_addr,
                           rec.tuple.dst_port};
-    const auto it = ftp_expected_.find(target);
-    if (it != ftp_expected_.end()) {
+    if (ftp_expected_.find(target) != nullptr) {
       rec.app = AppProtocol::kFtp;
       rec.method = ClassifyMethod::kFtpData;
       rec.classification_final = true;

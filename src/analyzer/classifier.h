@@ -12,11 +12,11 @@
 //     connections pre-label the matching data connections.
 #pragma once
 
-#include <deque>
 #include <unordered_map>
 
 #include "analyzer/connection.h"
 #include "analyzer/patterns.h"
+#include "util/expiry_set.h"
 
 namespace upbound {
 
@@ -26,7 +26,7 @@ struct ClassifierConfig {
   unsigned max_pattern_packets = 4;
   /// Reassembly cap per connection.
   std::size_t max_stream_bytes = StreamBuf::kDefaultCapBytes;
-  /// How long a PASV/PORT-announced endpoint stays valid.
+  /// How long a PASV/PORT-announced endpoint stays valid (> 0).
   Duration ftp_expect_ttl = Duration::sec(120.0);
   /// Toggles for ablation studies.
   bool enable_patterns = true;
@@ -68,7 +68,6 @@ class Classifier {
   void apply_port_fallback(ConnectionRecord& rec);
   void remember_p2p_endpoint(const ConnectionRecord& rec);
   void scan_ftp_control(ConnectionRecord& rec, const PacketRecord& pkt);
-  void expire_ftp(SimTime now);
 
   ClassifierConfig config_;
   PatternSet patterns_;
@@ -76,8 +75,7 @@ class Classifier {
   /// Strategy 1: service endpoints known to speak a P2P protocol.
   std::unordered_map<Endpoint, AppProtocol, EndpointHash> p2p_endpoints_;
   /// Strategy 2: endpoints announced by FTP PASV/PORT exchanges.
-  std::unordered_map<Endpoint, SimTime, EndpointHash> ftp_expected_;
-  std::deque<std::pair<SimTime, Endpoint>> ftp_expiry_queue_;
+  ExpirySet<Endpoint, EndpointHash> ftp_expected_;
 
   std::uint64_t memo_hits_ = 0;
   std::uint64_t ftp_data_hits_ = 0;

@@ -44,6 +44,23 @@ namespace {
 /// one command's run reproduces the whole pipeline.
 std::uint64_t seed_from(const Args& args) { return args.get_u64("seed", 7); }
 
+/// --threads (>= 1) for the replay engine, which clamps it to the shards.
+std::size_t threads_from(const Args& args) {
+  const std::int64_t threads = args.get_int("threads", 1);
+  if (threads < 1) throw ArgError("--threads must be >= 1");
+  return static_cast<std::size_t>(threads);
+}
+
+/// --shards for the replay engine: 0 (the default count) to kMaxShardCount.
+std::size_t shards_from(const Args& args) {
+  const std::int64_t shards = args.get_int("shards", 0);
+  if (shards < 0 || shards > std::int64_t{kMaxShardCount}) {
+    throw ArgError("--shards must be in [0, " +
+                   std::to_string(kMaxShardCount) + "]");
+  }
+  return static_cast<std::size_t>(shards);
+}
+
 ClientNetwork network_from(const Args& args) {
   const std::string spec =
       args.get_string("network", "140.112.30.0/24");
@@ -622,10 +639,8 @@ int cmd_filter(const Args& args) {
   const std::string out = args.get_string("out", "");
   const std::string save_state = args.get_string("save-state", "");
   const std::string load_state = args.get_string("load-state", "");
-  const std::size_t threads =
-      static_cast<std::size_t>(args.get_int("threads", 1));
-  const std::size_t shards =
-      static_cast<std::size_t>(args.get_int("shards", 0));
+  const std::size_t threads = threads_from(args);
+  const std::size_t shards = shards_from(args);
   const std::string shard_mode = shard_mode_from(args);
   const std::string kind = args.get_string(
       "filter",
@@ -997,10 +1012,8 @@ int cmd_compare(const Args& args) {
   const ClientNetwork network = network_from(args);
   const BitmapFilterConfig bitmap_config = bitmap_from(args);
   const std::uint64_t seed = seed_from(args);
-  const std::size_t threads =
-      static_cast<std::size_t>(args.get_int("threads", 1));
-  const std::size_t shards =
-      static_cast<std::size_t>(args.get_int("shards", 0));
+  const std::size_t threads = threads_from(args);
+  const std::size_t shards = shards_from(args);
   const std::string shard_mode = shard_mode_from(args);
   const TenancySpec tenancy = tenancy_from(args);
   if (tenancy.enabled() && shard_mode == "shared") {

@@ -4,7 +4,8 @@
 
 namespace upbound {
 
-NaiveFilter::NaiveFilter(const NaiveFilterConfig& config) : config_(config) {
+NaiveFilter::NaiveFilter(const NaiveFilterConfig& config)
+    : config_(config), pairs_(config.state_timeout) {
   if (config.state_timeout <= Duration{}) {
     throw std::invalid_argument("NaiveFilter: timeout must be positive");
   }
@@ -15,38 +16,15 @@ FiveTuple NaiveFilter::key_of_outbound(FiveTuple t) const {
   return t;
 }
 
-void NaiveFilter::advance_time(SimTime now) {
-  now_ = now;
-  while (!queue_.empty() &&
-         queue_.front().first + config_.state_timeout <= now) {
-    const FiveTuple key = queue_.front().second;
-    queue_.pop_front();
-    const auto it = expiry_.find(key);
-    // Only erase when this queue entry is the live one; refreshed pairs
-    // have a later expiry and a newer queue entry still in flight.
-    if (it != expiry_.end() && it->second <= now) expiry_.erase(it);
-  }
-}
+void NaiveFilter::advance_time(SimTime now) { pairs_.sweep(now); }
 
 void NaiveFilter::record_outbound(const PacketRecord& pkt) {
-  const FiveTuple key = key_of_outbound(pkt.tuple);
-  const SimTime expires = pkt.timestamp + config_.state_timeout;
-  auto [it, inserted] = expiry_.try_emplace(key, expires);
-  if (!inserted) it->second = expires;
-  queue_.emplace_back(pkt.timestamp, key);
+  pairs_.touch(key_of_outbound(pkt.tuple), pkt.timestamp);
 }
 
 bool NaiveFilter::admits_inbound(const PacketRecord& pkt) {
-  const auto it = expiry_.find(key_of_outbound(pkt.tuple.inverse()));
-  return it != expiry_.end() && pkt.timestamp < it->second;
-}
-
-std::size_t NaiveFilter::storage_bytes() const {
-  // Approximate live heap usage: hash map nodes plus queue entries.
-  constexpr std::size_t kMapNode =
-      sizeof(FiveTuple) + sizeof(SimTime) + 2 * sizeof(void*);
-  constexpr std::size_t kQueueNode = sizeof(SimTime) + sizeof(FiveTuple);
-  return expiry_.size() * kMapNode + queue_.size() * kQueueNode;
+  const auto* pair = pairs_.find(key_of_outbound(pkt.tuple.inverse()));
+  return pair != nullptr && pkt.timestamp < pair->last + config_.state_timeout;
 }
 
 }  // namespace upbound

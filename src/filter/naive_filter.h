@@ -7,12 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 
 #include "filter/hash_family.h"
 #include "filter/state_filter.h"
 #include "net/five_tuple.h"
+#include "util/expiry_set.h"
 
 namespace upbound {
 
@@ -24,6 +23,7 @@ struct NaiveFilterConfig {
   KeyMode key_mode = KeyMode::kFullTuple;
 };
 
+/// One ExpirySet entry per outbound socket pair, T as its TTL.
 class NaiveFilter final : public StateFilter {
  public:
   explicit NaiveFilter(const NaiveFilterConfig& config);
@@ -31,13 +31,13 @@ class NaiveFilter final : public StateFilter {
   void advance_time(SimTime now) override;
   void record_outbound(const PacketRecord& pkt) override;
   bool admits_inbound(const PacketRecord& pkt) override;
-  // admits_inbound is a pure map lookup (expiry is handled by
-  // advance_time), so speculative batch evaluation is safe.
+  // admits_inbound is a pure lookup (expiry is handled by advance_time),
+  // so speculative batch evaluation is safe.
   bool inbound_lookup_is_pure() const override { return true; }
-  std::size_t storage_bytes() const override;
+  std::size_t storage_bytes() const override { return pairs_.storage_bytes(); }
   std::string name() const override { return "naive"; }
 
-  std::size_t active_pairs() const { return expiry_.size(); }
+  std::size_t active_pairs() const { return pairs_.size(); }
 
  private:
   /// Key seen from the outbound direction; external port zeroed in
@@ -45,11 +45,7 @@ class NaiveFilter final : public StateFilter {
   FiveTuple key_of_outbound(FiveTuple t) const;
 
   NaiveFilterConfig config_;
-  SimTime now_;
-  std::unordered_map<FiveTuple, SimTime, FiveTupleHash> expiry_;
-  // FIFO of (refresh time, key) for amortized O(1) expiry sweeps; stale
-  // entries (superseded by a later refresh) are skipped on pop.
-  std::deque<std::pair<SimTime, FiveTuple>> queue_;
+  ExpirySet<FiveTuple, TupleMix> pairs_;
 };
 
 }  // namespace upbound

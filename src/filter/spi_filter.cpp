@@ -4,7 +4,14 @@
 
 namespace upbound {
 
-SpiFilter::SpiFilter(const SpiFilterConfig& config) : config_(config) {
+namespace {
+bool closes(const PacketRecord& pkt) {
+  return pkt.is_tcp() && (pkt.flags.fin || pkt.flags.rst);
+}
+}  // namespace
+
+SpiFilter::SpiFilter(const SpiFilterConfig& config)
+    : config_(config), flows_(config.idle_timeout) {
   if (config.idle_timeout <= Duration{}) {
     throw std::invalid_argument("SpiFilter: idle_timeout must be positive");
   }
@@ -14,74 +21,53 @@ SpiFilter::SpiFilter(const SpiFilterConfig& config) : config_(config) {
 }
 
 void SpiFilter::advance_time(SimTime now) {
-  now_ = now;
-  while (!sweep_queue_.empty() &&
-         sweep_queue_.front().first + config_.idle_timeout <= now) {
-    const FiveTuple key = sweep_queue_.front().second;
-    sweep_queue_.pop_front();
-    const auto it = flows_.find(key);
-    if (it == flows_.end()) continue;
-    const SimTime idle_deadline = it->second.last_active + config_.idle_timeout;
-    if (idle_deadline <= now || it->second.remove_at <= now) {
-      flows_.erase(it);
-      ++flows_expired_;
-    }
-  }
+  flows_expired_ += flows_.sweep(now);
 }
 
-void SpiFilter::touch(const FiveTuple& key, const PacketRecord& pkt) {
-  auto it = flows_.find(key);
-  if (it == flows_.end()) return;
-  FlowState& state = it->second;
-  state.last_active = pkt.timestamp;
-  sweep_queue_.emplace_back(pkt.timestamp, key);
-  if (pkt.is_tcp() && (pkt.flags.fin || pkt.flags.rst)) {
-    state.closing = true;
-    state.remove_at = pkt.timestamp + config_.close_linger;
-    if (config_.close_linger.is_zero()) {
-      flows_.erase(it);
-      ++flows_expired_;
-    }
+SpiFilter::Flows::Entry* SpiFilter::open_flow(const FiveTuple& key,
+                                              SimTime now) {
+  Flows::Entry* flow = flows_.find(key);
+  if (flow != nullptr &&
+      (flow->last + config_.idle_timeout <= now ||
+       (flow->value.closed && flow->last + config_.close_linger <= now))) {
+    flows_.erase(key);
+    ++flows_expired_;
+    return nullptr;
+  }
+  return flow;
+}
+
+void SpiFilter::on_flow_packet(const FiveTuple& key, Flows::Entry& flow,
+                               const PacketRecord& pkt) {
+  if (!closes(pkt)) {
+    if (!flow.value.closed) flows_.refresh(key, pkt.timestamp);
+  } else if (config_.close_linger.is_zero()) {
+    flows_.erase(key);
+    ++flows_expired_;
+  } else {
+    flows_.refresh(key, pkt.timestamp);
+    flow.value.closed = true;
   }
 }
 
 void SpiFilter::record_outbound(const PacketRecord& pkt) {
-  const FiveTuple key = pkt.tuple;
-  auto it = flows_.find(key);
-  if (it == flows_.end()) {
+  if (Flows::Entry* flow = open_flow(pkt.tuple, pkt.timestamp)) {
+    on_flow_packet(pkt.tuple, *flow, pkt);
+  } else if (!closes(pkt)) {
     // New flow created by the inner client. A closing packet that opens no
     // usable state (stray FIN/RST) is not tracked.
-    if (pkt.is_tcp() && (pkt.flags.fin || pkt.flags.rst)) return;
-    flows_.emplace(key, FlowState{pkt.timestamp, false, SimTime::infinite()});
-    sweep_queue_.emplace_back(pkt.timestamp, key);
+    flows_.touch(pkt.tuple, pkt.timestamp);
     ++flows_created_;
-    return;
   }
-  touch(key, pkt);
 }
 
 bool SpiFilter::admits_inbound(const PacketRecord& pkt) {
   // The flow was created by the outbound direction: key by the inverse.
   const FiveTuple key = pkt.tuple.inverse();
-  auto it = flows_.find(key);
-  if (it == flows_.end()) return false;
-  FlowState& state = it->second;
-  if (state.remove_at <= pkt.timestamp) return false;
-  if (state.last_active + config_.idle_timeout <= pkt.timestamp) {
-    // Expired but not yet swept: treat as gone.
-    flows_.erase(it);
-    ++flows_expired_;
-    return false;
-  }
-  touch(key, pkt);
+  Flows::Entry* flow = open_flow(key, pkt.timestamp);
+  if (flow == nullptr) return false;
+  on_flow_packet(key, *flow, pkt);
   return true;
-}
-
-std::size_t SpiFilter::storage_bytes() const {
-  constexpr std::size_t kMapNode =
-      sizeof(FiveTuple) + sizeof(FlowState) + 2 * sizeof(void*);
-  constexpr std::size_t kQueueNode = sizeof(SimTime) + sizeof(FiveTuple);
-  return flows_.size() * kMapNode + sweep_queue_.size() * kQueueNode;
 }
 
 }  // namespace upbound

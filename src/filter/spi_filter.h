@@ -10,11 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 
 #include "filter/state_filter.h"
 #include "net/five_tuple.h"
+#include "util/expiry_set.h"
 
 namespace upbound {
 
@@ -26,6 +25,12 @@ struct SpiFilterConfig {
   Duration close_linger = Duration::sec(0.0);
 };
 
+/// Flows live on an ExpirySet keyed by the outbound tuple, with the idle
+/// timeout as the TTL. A FIN/RST removes a flow at a zero linger; otherwise
+/// the closed flow keeps that packet's time stamp (later packets pass but
+/// do not refresh it), so it is swept idle_timeout after the packet, and
+/// it ends at the stamp plus close_linger. An ended flow admits nothing,
+/// and an outbound packet on its tuple opens a new flow.
 class SpiFilter final : public StateFilter {
  public:
   explicit SpiFilter(const SpiFilterConfig& config);
@@ -33,7 +38,7 @@ class SpiFilter final : public StateFilter {
   void advance_time(SimTime now) override;
   void record_outbound(const PacketRecord& pkt) override;
   bool admits_inbound(const PacketRecord& pkt) override;
-  std::size_t storage_bytes() const override;
+  std::size_t storage_bytes() const override { return flows_.storage_bytes(); }
   std::string name() const override { return "spi"; }
 
   std::size_t tracked_flows() const { return flows_.size(); }
@@ -42,18 +47,19 @@ class SpiFilter final : public StateFilter {
 
  private:
   struct FlowState {
-    SimTime last_active;
-    bool closing = false;      // saw FIN/RST
-    SimTime remove_at = SimTime::infinite();
+    bool closed = false;  // saw FIN/RST
   };
+  using Flows = ExpirySet<FiveTuple, TupleMix, FlowState>;
 
-  void touch(const FiveTuple& key, const PacketRecord& pkt);
+  /// The flow of `key` unless it has ended at `now` (an ended flow the
+  /// sweep has not reached yet is removed).
+  Flows::Entry* open_flow(const FiveTuple& key, SimTime now);
+  /// A packet of an open flow, in either direction.
+  void on_flow_packet(const FiveTuple& key, Flows::Entry& flow,
+                      const PacketRecord& pkt);
 
   SpiFilterConfig config_;
-  SimTime now_;
-  // Keyed by the outbound-direction tuple (flow creator's view).
-  std::unordered_map<FiveTuple, FlowState, FiveTupleHash> flows_;
-  std::deque<std::pair<SimTime, FiveTuple>> sweep_queue_;
+  Flows flows_;
   std::uint64_t flows_created_ = 0;
   std::uint64_t flows_expired_ = 0;
 };

@@ -59,6 +59,12 @@ void PcapWriter::close() {
 
 void PcapWriter::write(const PacketRecord& pkt) {
   if (file_ == nullptr) throw PcapError("write after close");
+  // The seconds field is a uint32: other times would wrap on reading.
+  const std::int64_t usec = pkt.timestamp.usec();
+  if (usec < 0 || usec / 1'000'000 > std::int64_t{UINT32_MAX}) {
+    throw PcapError("timestamp outside [0, 2^32) s: " +
+                    pkt.timestamp.to_string());
+  }
 
   const std::vector<std::uint8_t> frame = encode_frame(pkt);
   // Zero fill from encode_frame represents un-captured payload; report the
@@ -72,7 +78,6 @@ void PcapWriter::write(const PacketRecord& pkt) {
                                              pkt.payload_size));
   incl_len = std::min(incl_len, snaplen_);
 
-  const std::int64_t usec = pkt.timestamp.usec();
   std::uint8_t rec[16];
   put_u32le(rec + 0, static_cast<std::uint32_t>(usec / 1'000'000));
   put_u32le(rec + 4, static_cast<std::uint32_t>(usec % 1'000'000));

@@ -102,6 +102,9 @@ void sidecar_append(std::vector<PacketRecord>& sidecar,
 }
 
 ParallelReplayConfig resolve(const ParallelReplayConfig& config) {
+  if (config.shards > kMaxShardCount) {
+    throw std::invalid_argument("parallel_replay: shards > kMaxShardCount");
+  }
   ParallelReplayConfig out = config;
   if (out.shards == 0) out.shards = kDefaultShardCount;
   if (out.threads == 0) out.threads = 1;

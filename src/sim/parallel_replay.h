@@ -66,6 +66,8 @@ namespace upbound {
 /// Default shard count when ParallelReplayConfig::shards is 0. Fixed and
 /// thread-count independent so results never depend on worker scheduling.
 inline constexpr std::size_t kDefaultShardCount = 8;
+/// Largest accepted shard count: each shard owns a router and a filter.
+inline constexpr std::size_t kMaxShardCount = 256;
 
 struct ParallelReplayConfig {
   /// Worker threads; clamped to [1, shards]. Thread count affects wall

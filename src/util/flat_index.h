@@ -1,7 +1,7 @@
 // Flat index: maps a key to a slot in a dense, append-only value array.
 // Layers that keep per-key state on the packet path (the router's tenant
 // ledger, the hierarchical filter's fine tier, the analyzer's connection
-// table and out-in pairs) store it here instead of in node-based
+// table, and every ExpirySet) store it here instead of in node-based
 // containers, so reaching a key's state is one probe of a small slot array
 // plus one dense-array access.
 //
@@ -38,6 +38,11 @@ class FlatIndex {
   std::size_t size() const { return keys_.size(); }
   /// Slot-array length (0 until the first insertion).
   std::size_t slot_count() const { return slots_.size(); }
+  /// Bytes allocated for the slot, key and value arrays.
+  std::size_t storage_bytes() const {
+    return slots_.capacity() * sizeof(Slot) + keys_.capacity() * sizeof(Key) +
+           values_.capacity() * sizeof(Value);
+  }
 
   /// The value of `key`, or nullptr when absent.
   Value* find(const Key& key) {

@@ -248,6 +248,53 @@ TEST_F(ClassifierTest, FtpExpectationExpires) {
   EXPECT_NE(rec.method, ClassifyMethod::kFtpData);
 }
 
+// An announced endpoint is valid for exactly ftp_expect_ttl: a data
+// connection 1 us before the TTL runs out is FTP data, one at the TTL is
+// not.
+TEST_F(ClassifierTest, FtpExpectationLastsExactlyItsTtl) {
+  ClassifierConfig config;
+  config.ftp_expect_ttl = Duration::sec(10.0);
+  Classifier classifier{config};
+  auto feed2 = [&](const PacketRecord& p, Direction d) -> ConnectionRecord& {
+    ConnectionRecord& r = table_.update(p, d);
+    classifier.observe(r, p);
+    return r;
+  };
+  FiveTuple control = tcp_;
+  control.dst_port = 21;
+  feed2(pkt(control, 0.0, {.syn = true}), Direction::kOutbound);
+  feed2(pkt(control.inverse(), 0.1, {.ack = true}, payloads::ftp_banner()),
+        Direction::kInbound);
+  PacketRecord pasv =
+      pkt(control.inverse(), 0.0, {.ack = true},
+          payloads::ftp_pasv_response(control.dst_addr, 52000));
+  const SimTime announced = SimTime::from_sec(0.2);
+  pasv.timestamp = announced;
+  feed2(pasv, Direction::kInbound);
+
+  FiveTuple data = control;
+  data.dst_port = 52000;
+  data.src_port = 40002;
+  PacketRecord early = pkt(data, 0.0, {.syn = true});
+  early.timestamp = announced + config.ftp_expect_ttl - Duration::usec(1);
+  EXPECT_EQ(feed2(early, Direction::kOutbound).method,
+            ClassifyMethod::kFtpData);
+  data.src_port = 40003;
+  PacketRecord late = pkt(data, 0.0, {.syn = true});
+  late.timestamp = announced + config.ftp_expect_ttl;
+  EXPECT_NE(feed2(late, Direction::kOutbound).method,
+            ClassifyMethod::kFtpData);
+  EXPECT_EQ(classifier.ftp_data_hits(), 1u);
+}
+
+TEST(Classifier, NonPositiveFtpExpectTtlThrows) {
+  for (const Duration ttl : {Duration{}, Duration::sec(-1.0)}) {
+    ClassifierConfig config;
+    config.ftp_expect_ttl = ttl;
+    EXPECT_THROW(Classifier{config}, std::invalid_argument);
+  }
+}
+
 TEST_F(ClassifierTest, PatternsDisabledFallsStraightToPorts) {
   ClassifierConfig config;
   config.enable_patterns = false;

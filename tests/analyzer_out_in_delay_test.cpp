@@ -223,6 +223,34 @@ TEST(OutInDelay, MatchesQueueModelOnSortedTraces) {
   }
 }
 
+// Pairs whose timer ran out are reclaimed: ten rounds of 10 000 fresh
+// pairs, each left to expire, need no more room than one round.
+TEST(OutInDelay, ExpiredPairsAreReclaimed) {
+  constexpr std::uint32_t kRounds = 10;
+  constexpr std::uint32_t kPerRound = 10'000;
+  OutInDelayTracker tracker{Duration::sec(1.0)};
+  std::size_t one_round = 0;
+  for (std::uint32_t round = 0; round < kRounds; ++round) {
+    const SimTime start = SimTime::from_sec(10.0 * round);
+    for (std::uint32_t i = 0; i < kPerRound; ++i) {
+      PacketRecord p;
+      p.timestamp = start + Duration::usec(i);
+      p.tuple = FiveTuple{Protocol::kTcp, Ipv4Addr{140, 112, 30, 5},
+                          static_cast<std::uint16_t>(1024 + i % 60000),
+                          Ipv4Addr{(61u << 24) | (round << 16) | i}, 80};
+      tracker.on_packet(p, Direction::kOutbound);
+    }
+    EXPECT_EQ(tracker.tracked_pairs(), kPerRound);
+    if (round == 0) one_round = tracker.capacity();
+    EXPECT_LE(tracker.capacity(), one_round) << "round " << round;
+    tracker.on_packet(pkt(out_tuple(), 10.0 * round + 5.0),
+                      Direction::kInbound);
+    EXPECT_EQ(tracker.tracked_pairs(), 0u);
+    EXPECT_EQ(tracker.expired_pairs(), std::uint64_t{round + 1} * kPerRound);
+  }
+  EXPECT_GT(one_round, 0u);
+}
+
 TEST(OutInDelay, InvalidExpiryThrows) {
   EXPECT_THROW(OutInDelayTracker{Duration::sec(0.0)}, std::invalid_argument);
 }

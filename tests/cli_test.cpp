@@ -437,6 +437,29 @@ TEST_F(CliCommandTest, TenancyFlagGuards) {
             2);
 }
 
+// Out-of-range worker and shard counts are usage errors (exit 2) found
+// before the capture is opened: the path below does not exist, which
+// would otherwise exit 1. Only rejected values are used, so no worker
+// starts.
+TEST_F(CliCommandTest, ThreadAndShardCountsOutOfRangeAreRejected) {
+  const std::string missing = (dir_ / "missing.pcap").string();
+  EXPECT_EQ(run_cli({"filter", "--pcap", missing.c_str(), "--threads", "0"}),
+            2);
+  EXPECT_EQ(run_cli({"filter", "--pcap", missing.c_str(), "--threads", "-3"}),
+            2);
+  EXPECT_EQ(run_cli({"filter", "--pcap", missing.c_str(), "--shards", "-1"}),
+            2);
+  EXPECT_EQ(run_cli({"filter", "--pcap", missing.c_str(), "--shards", "257"}),
+            2);
+  EXPECT_EQ(run_cli({"compare", "--pcap", missing.c_str(), "--shards", "257"}),
+            2);
+  EXPECT_EQ(run_cli({"compare", "--pcap", missing.c_str(), "--threads", "0"}),
+            2);
+  // In range, the missing capture is what fails.
+  EXPECT_EQ(run_cli({"filter", "--pcap", missing.c_str(), "--shards", "256"}),
+            1);
+}
+
 TEST_F(CliCommandTest, AttackRunsAndReportIsByteStable) {
   const std::string out_a = (dir_ / "report_a.jsonl").string();
   const std::string out_b = (dir_ / "report_b.jsonl").string();

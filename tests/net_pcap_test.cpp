@@ -158,5 +158,45 @@ TEST_F(PcapTest, LargeTimestampsPreserved) {
   EXPECT_EQ(got->timestamp, pkt.timestamp);
 }
 
+// The record stores seconds as a uint32: times outside [0, 2^32) s are
+// refused instead of wrapping (-1.5 s would read back at about 2^32 s,
+// -0.25 s at about 4 295 s), and both ends of the range round-trip.
+TEST_F(PcapTest, TimestampsOutsideTheUint32SecondsRangeAreRefused) {
+  {
+    PcapWriter writer{path_};
+    for (const double t : {-1.5, -0.25}) {
+      PacketRecord pkt = make_packet(0, 1);
+      pkt.timestamp = SimTime::from_sec(t);
+      EXPECT_THROW(writer.write(pkt), PcapError) << t;
+    }
+    PacketRecord late = make_packet(0, 1);
+    late.timestamp = SimTime::from_usec((std::int64_t{1} << 32) * 1'000'000);
+    EXPECT_THROW(writer.write(late), PcapError);
+    EXPECT_EQ(writer.packets_written(), 0u);
+  }
+  PcapReader reader{path_};
+  EXPECT_FALSE(reader.next().has_value());
+}
+
+TEST_F(PcapTest, BothEndsOfTheSecondsRangeRoundTrip) {
+  const SimTime ends[] = {
+      SimTime::origin(),
+      SimTime::from_usec(((std::int64_t{1} << 32) - 1) * 1'000'000)};
+  {
+    PcapWriter writer{path_};
+    for (const SimTime t : ends) {
+      PacketRecord pkt = make_packet(0, 1);
+      pkt.timestamp = t;
+      writer.write(pkt);
+    }
+  }
+  PcapReader reader{path_};
+  for (const SimTime t : ends) {
+    const auto got = reader.next();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->timestamp, t);
+  }
+}
+
 }  // namespace
 }  // namespace upbound

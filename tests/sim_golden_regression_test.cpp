@@ -318,7 +318,7 @@ TEST_P(SimGoldenPaths, RouterPathMatchesLockedStats) {
 INSTANTIATE_TEST_SUITE_P(
     Locked, SimGoldenPaths,
     ::testing::Values(
-        PathRow{"spi", true, false, 0x829fb26af78dccc1, 0x1756f257e3ae628a,
+        PathRow{"spi", true, false, 0x829fb26af78dccc1, 0x77ce318afcf9d817,
                 {49'864'846, 7'259'228, 46'545'205, 7'125'058}},
         PathRow{"hierarchical", true, false, 0x686e6d9cc3e25be3,
                 0x61e3ca1609f375a2,
@@ -329,7 +329,7 @@ INSTANTIATE_TEST_SUITE_P(
         PathRow{"bitmap-blocked", true, true, 0xf853ae00b9b54c98,
                 0xfbec60ec12e7dc5b,
                 {49'329'739, 7'166'131, 46'039'095, 7'042'793}},
-        PathRow{"spi", true, true, 0xa8fce5691739b02b, 0xfb24cd1e1d3db987,
+        PathRow{"spi", true, true, 0xa8fce5691739b02b, 0xde7a157f8abbc1aa,
                 {49'329'739, 7'166'131, 45'681'100, 7'023'506}},
         PathRow{"hierarchical", false, true, 0xa2406f612a11c0dd,
                 0xeecda9f755331733,

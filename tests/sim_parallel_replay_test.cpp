@@ -93,6 +93,27 @@ TEST(ParallelReplay, NullFactoryThrows) {
                std::invalid_argument);
 }
 
+// Every shard owns a router and a filter: a shard count above
+// kMaxShardCount is refused before the factory builds any of them.
+TEST(ParallelReplay, TooManyShardsThrowBeforeTheFactoryRuns) {
+  std::size_t calls = 0;
+  const ShardRouterFactory counting = [&calls](const ClientNetwork& network,
+                                               std::size_t shard) {
+    ++calls;
+    return bitmap_factory()(network, shard);
+  };
+  ParallelReplayConfig config;
+  config.shards = kMaxShardCount + 1;
+  EXPECT_THROW(parallel_replay(shared_trace().packets, shared_trace().network,
+                               counting, config),
+               std::invalid_argument);
+  EXPECT_THROW(sharded_replay_reference(shared_trace().packets,
+                                        shared_trace().network, counting,
+                                        config),
+               std::invalid_argument);
+  EXPECT_EQ(calls, 0u);
+}
+
 TEST(ParallelReplay, MergedResultInvariantUnderThreadCount) {
   const GeneratedTrace& trace = shared_trace();
   ParallelReplayConfig config;
