@@ -1,6 +1,7 @@
 #include "filter/bandwidth_meter.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace upbound {
 
@@ -20,21 +21,21 @@ std::size_t floor_mod(std::int64_t a, std::int64_t b) {
   return static_cast<std::size_t>(m < 0 ? m + b : m);
 }
 
-Duration checked_slot_width(Duration window, unsigned slots) {
-  if (window <= Duration{} || slots == 0 ||
-      window.count_usec() % slots != 0) {
+constexpr std::int64_t kRing = BandwidthMeter::kSlots;
+
+Duration checked_slot_width(Duration window) {
+  if (window <= Duration{} || window.count_usec() % kRing != 0) {
     throw std::invalid_argument(
-        "BandwidthMeter: window must be positive and divisible by slots");
+        "BandwidthMeter: window must be positive and divisible by " +
+        std::to_string(kRing) + " us");
   }
-  return Duration::usec(window.count_usec() / slots);
+  return Duration::usec(window.count_usec() / kRing);
 }
 
 }  // namespace
 
-BandwidthMeter::BandwidthMeter(Duration window, unsigned slots)
-    : window_(window),
-      slot_width_(checked_slot_width(window, slots)),
-      slots_(slots, 0) {}
+BandwidthMeter::BandwidthMeter(Duration window)
+    : window_(window), slot_width_(checked_slot_width(window)) {}
 
 void BandwidthMeter::roll_to(SimTime now) {
   const std::int64_t target =
@@ -46,14 +47,13 @@ void BandwidthMeter::roll_to(SimTime now) {
   }
   if (target <= head_slot_) return;
   const std::int64_t steps = target - head_slot_;
-  const std::int64_t n = static_cast<std::int64_t>(slots_.size());
-  if (steps >= n) {
+  if (steps >= kRing) {
     // Entire window expired.
-    for (auto& s : slots_) s = 0;
+    slots_.fill(0);
     total_bytes_ = 0;
   } else {
     for (std::int64_t i = 1; i <= steps; ++i) {
-      auto& slot = slots_[floor_mod(head_slot_ + i, n)];
+      auto& slot = slots_[floor_mod(head_slot_ + i, kRing)];
       total_bytes_ -= slot;
       slot = 0;
     }
@@ -74,8 +74,7 @@ void BandwidthMeter::add(SimTime now, std::uint64_t bytes) {
   roll_to(observe(now, /*count_regression=*/true));
   // floor_mod: head_slot_ is negative for pre-origin times, where C++'s
   // `%` would produce a negative (out-of-range) slot index.
-  slots_[floor_mod(head_slot_, static_cast<std::int64_t>(slots_.size()))] +=
-      bytes;
+  slots_[floor_mod(head_slot_, kRing)] += bytes;
   total_bytes_ += bytes;
 }
 

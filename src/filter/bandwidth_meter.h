@@ -1,12 +1,16 @@
 // Sliding-window throughput estimation -- the "indicator of upload
-// bandwidth throughput b" that feeds Eq. 1. A ring of fixed-width slots
-// covers the averaging window; expired slots are zeroed lazily as time
-// advances, so both add() and bits_per_sec() are O(slots) worst case and
-// O(1) amortized.
+// bandwidth throughput b" that feeds Eq. 1. A ring of kSlots fixed-width
+// slots covers the averaging window; expired slots are zeroed lazily as
+// time advances, so both add() and bits_per_sec() are O(kSlots) worst
+// case and O(1) amortized. The ring is inline and its length a constant:
+// the router keeps one meter per tenant in its ledger entry, so a packet
+// reaches its tenant's meter without another pointer chase, and the slot
+// arithmetic is by a constant.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "util/time.h"
 
@@ -14,10 +18,13 @@ namespace upbound {
 
 class BandwidthMeter {
  public:
-  /// `window` is the averaging period; `slots` its subdivisions (higher =
-  /// smoother decay of old traffic).
-  explicit BandwidthMeter(Duration window = Duration::sec(1.0),
-                          unsigned slots = 10);
+  /// Subdivisions of the window: old traffic decays out in steps of
+  /// window / kSlots.
+  static constexpr std::size_t kSlots = 10;
+
+  /// `window` is the averaging period: positive and a whole multiple of
+  /// kSlots microseconds, else std::invalid_argument.
+  explicit BandwidthMeter(Duration window = Duration::sec(1.0));
 
   /// Accounts `bytes` observed at time `now`. A regressed `now` (below
   /// the highest time seen) is clamped to that high-water mark and
@@ -58,7 +65,7 @@ class BandwidthMeter {
 
   Duration window_;
   Duration slot_width_;
-  std::vector<std::uint64_t> slots_;
+  std::array<std::uint64_t, kSlots> slots_{};
   std::int64_t head_slot_ = 0;  // absolute slot index of the newest slot
   /// head_slot_ is meaningless until the first event sets it; without the
   /// latch a meter whose first event is pre-origin (negative slot index)

@@ -28,10 +28,11 @@ class BitVector {
 
   /// Cache hints for the word holding bit `i`; the batched datapath
   /// issues these for a whole chunk before touching any word.
-  void prefetch_for_test(std::size_t i) const {
+  /// always_inline for the reason util/prefetch.h gives.
+  [[gnu::always_inline]] void prefetch_for_test(std::size_t i) const {
     prefetch_read(words_.data() + (i >> 6));
   }
-  void prefetch_for_set(std::size_t i) const {
+  [[gnu::always_inline]] void prefetch_for_set(std::size_t i) const {
     prefetch_write(words_.data() + (i >> 6));
   }
 

@@ -2,10 +2,9 @@
 //
 // Same Algorithm 1/2 semantics as BitmapFilter -- outbound marks all k
 // vectors, inbound looks up the current one, rotation clears the oldest --
-// but the k vectors are the columns of one BlockedBitVector: a key's low
-// hash half selects one 512-bit block and all m probes stay inside it,
-// stepping by an odd stride derived from the high half (odd => the m
-// offsets are distinct mod 512). Per packet that is one cache line per
+// but the k vectors are block-major interleaved columns of 512-bit blocks
+// (filter/blocked_bitmap_core.h): a key's low hash half selects one block
+// and all m probes stay inside it. Per packet that is one cache line per
 // vector (k lines marked, 1 line looked up) instead of m*k / m scattered
 // lines -- and the block-major column interleaving makes the k marked
 // lines ADJACENT, so an outbound packet costs one 256-byte streak instead
@@ -21,9 +20,7 @@
 #include <vector>
 
 #include "filter/bitmap_filter.h"  // BitmapFilterConfig
-#include "filter/blocked_bitvector.h"
-#include "filter/hash_family.h"
-#include "filter/rotation_schedule.h"
+#include "filter/blocked_bitmap_core.h"
 #include "filter/state_filter.h"
 
 namespace upbound {
@@ -49,7 +46,7 @@ class BlockedBitmapFilter final : public StateFilter {
   void prefetch(const PacketRecord& pkt, Direction dir) const override;
   bool inbound_lookup_is_pure() const override { return true; }
   std::optional<double> occupancy_fraction() const override {
-    return bits_.utilization(idx_);
+    return core_.utilization(bits_.data(), rotation_.column);
   }
   std::uint64_t expiry_generations() const override { return rotations_; }
   bool set_rotate_interval(Duration dt) override;
@@ -60,7 +57,7 @@ class BlockedBitmapFilter final : public StateFilter {
   void rotate();
 
   const BitmapFilterConfig& config() const { return config_; }
-  std::size_t current_index() const { return idx_; }
+  std::size_t current_index() const { return rotation_.column; }
   std::uint64_t rotations() const { return rotations_; }
 
  private:
@@ -69,38 +66,15 @@ class BlockedBitmapFilter final : public StateFilter {
   /// latency at line rate, small enough to stay within the prefetch
   /// queue's reach.
   static constexpr std::size_t kPrefetchDistance = 16;
-  /// At this many probes and above, build the key's 512-bit mask once and
-  /// OR/compare whole lines (cost independent of m); below it, targeted
-  /// per-bit ops are cheaper.
-  static constexpr unsigned kDenseProbeThreshold = 6;
-  static constexpr std::uint64_t kOffsetMask =
-      BlockedBitVector::kBlockBits - 1;
-
-  std::size_t block_of(const Hash128& h) const {
-    return static_cast<std::size_t>(h.lo & block_mask_);
-  }
-  /// Builds the 512-bit probe mask of `h` (all m probes as a line image).
-  void line_mask_of(const Hash128& h, std::uint64_t line[8]) const;
-  /// Marks all m probes of `h` in every vector (outbound arm); mark_with
-  /// dispatches on kDenseProbeThreshold.
-  void mark_dense(const Hash128& h);
-  void mark_sparse(const Hash128& h);
-  void mark_with(const Hash128& h);
-  /// Tests all m probes of `h` in the current vector (inbound arm).
-  bool test_dense(const Hash128& h) const;
-  bool test_sparse(const Hash128& h) const;
-  bool test_with(const Hash128& h) const;
 
   void mark_chunk(PacketBatch chunk);
   void test_chunk(PacketBatch chunk, std::span<bool> admits);
 
   BitmapFilterConfig config_;
-  BloomHashFamily hashes_;
-  BlockedBitVector bits_;  // k columns, block-major interleaved
-  std::size_t idx_ = 0;
-  RotationSchedule schedule_;
+  BlockedBitmapCore core_;
+  std::vector<BitBlock> bits_;  // k columns, block-major interleaved
+  BlockedRotation rotation_;
   std::uint64_t rotations_ = 0;
-  std::uint64_t block_mask_ = 0;           // block_count - 1 (power of two)
   std::vector<Hash128> hash_scratch_;      // per-chunk key digests
   std::vector<std::uint8_t> key_scratch_;  // per-chunk serialized keys
 };

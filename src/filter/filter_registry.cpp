@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "filter/filter_pool.h"
 #include "tenant/hierarchical_filter.h"
 
 namespace upbound {
@@ -572,6 +573,17 @@ std::unique_ptr<StateFilter> make_state_filter(const FilterSpec& spec) {
     throw std::logic_error("make_state_filter: empty spec");
   }
   return spec.backend->make(spec);
+}
+
+std::unique_ptr<FilterPool> make_filter_pool(const FilterSpec& spec) {
+  if (spec.backend == nullptr) {
+    throw std::logic_error("make_filter_pool: empty spec");
+  }
+  if (spec.backend == FilterRegistry::instance().find("bitmap-blocked")) {
+    return std::make_unique<BlockedBitmapPool>(
+        spec.config_as<BitmapFilterConfig>());
+  }
+  return std::make_unique<BoxedFilterPool>(spec);
 }
 
 FilterSpec bitmap_filter_spec(const BitmapFilterConfig& config) {

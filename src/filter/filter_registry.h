@@ -116,6 +116,7 @@ class MapFilterArgs final : public FilterArgs {
 };
 
 struct BackendDescriptor;
+class FilterPool;
 
 /// A parsed, validated backend configuration: the descriptor it belongs
 /// to plus its type-erased config struct. Cheap to copy; the factory
@@ -224,6 +225,14 @@ class FilterRegistry {
 
 /// spec.backend->make(spec), with a clear error on an empty spec.
 std::unique_ptr<StateFilter> make_state_filter(const FilterSpec& spec);
+
+/// A pool of instances of `spec` (filter/filter_pool.h): the native
+/// BlockedBitmapPool when spec.backend IS the registry's own
+/// bitmap-blocked descriptor, else a BoxedFilterPool that builds every
+/// instance through spec.backend->make. The test is identity, not name,
+/// so a caller's copy of a descriptor with its own make (a tracing
+/// decorator, say) keeps having its instances built by that make.
+std::unique_ptr<FilterPool> make_filter_pool(const FilterSpec& spec);
 
 // Typed spec builders for callers that already hold a config struct
 // (tests, benches, examples, the filter bank). Each is exactly

@@ -36,6 +36,7 @@ HierarchicalFilter::HierarchicalFilter(const HierarchicalFilterConfig& config)
     : config_(config),
       table_(config.table),
       front_(make_state_filter(config.front)),
+      fine_(make_filter_pool(config.fine)),
       clock_(SimTime::from_usec(std::numeric_limits<std::int64_t>::min())) {
   config_.validate();
   // The short-circuit is exact only when (a) the fine tier's lookups are
@@ -69,8 +70,8 @@ void HierarchicalFilter::advance_time(SimTime now) {
 HierarchicalFilter::TenantEntry* HierarchicalFilter::live_entry(
     TenantId tenant) {
   TenantEntry* entry = tenants_.find(tenant);
-  if (entry == nullptr || entry->fine == nullptr) return nullptr;
-  entry->fine->advance_time(clock_);
+  if (entry == nullptr || entry->fine == FilterPool::kNilSlot) return nullptr;
+  fine_->advance_time(entry->fine, clock_);
   lru_.move_to_front(tenants_, tenants_.position_of(*entry));
   return entry;
 }
@@ -83,8 +84,7 @@ HierarchicalFilter::TenantEntry& HierarchicalFilter::entry_for(
   TenantEntry& entry = tenants_.find_or_insert(tenant);
   lru_.push_front(tenants_, tenants_.position_of(entry));
   ++live_;
-  entry.fine = make_state_filter(config_.fine);
-  entry.fine->advance_time(clock_);
+  entry.fine = fine_->acquire(clock_);
   ++instantiations_;
   return entry;
 }
@@ -93,7 +93,8 @@ void HierarchicalFilter::evict_lru() {
   const Position victim = lru_.back();
   lru_.unlink(tenants_, victim);
   TenantEntry& entry = tenants_.value_at(victim);
-  entry.fine.reset();
+  fine_->release(entry.fine);
+  entry.fine = FilterPool::kNilSlot;
   entry.digest.reset();
   --live_;
   ++evictions_;
@@ -103,7 +104,7 @@ void HierarchicalFilter::record_outbound(const PacketRecord& pkt) {
   const TenantId tenant = table_.tenant_of_outbound(pkt.tuple);
   if (short_circuit_) front_->record_outbound(pkt);
   TenantEntry& entry = entry_for(tenant);
-  entry.fine->record_outbound(pkt);
+  fine_->record_outbound(entry.fine, pkt);
   if (config_.digest.has_value()) {
     const std::uint64_t epoch = epoch_of(clock_);
     if (!entry.digest.has_value()) {
@@ -121,7 +122,7 @@ bool HierarchicalFilter::admits_inbound(const PacketRecord& pkt) {
   if (short_circuit_ && !front_->admits_inbound(pkt)) {
     ++front_absorbed_;
   } else if (TenantEntry* entry = live_entry(tenant)) {
-    verdict = entry->fine->admits_inbound(pkt);
+    verdict = fine_->admits_inbound(entry->fine, pkt);
   }
   if (!verdict && !remote_.empty()) {
     const auto it = remote_.find(tenant);
@@ -143,8 +144,8 @@ void HierarchicalFilter::prefetch(const PacketRecord& pkt,
   const TenantId tenant = outbound ? table_.tenant_of_outbound(pkt.tuple)
                                    : table_.tenant_of_inbound(pkt.tuple);
   const TenantEntry* entry = tenants_.find(tenant);
-  if (entry == nullptr || entry->fine == nullptr) return;
-  entry->fine->prefetch(pkt, dir);
+  if (entry == nullptr || entry->fine == FilterPool::kNilSlot) return;
+  fine_->prefetch(entry->fine, pkt, dir);
   if (outbound && entry->digest.has_value()) {
     entry->digest->prefetch_outbound(pkt.tuple);
   }
@@ -155,7 +156,7 @@ std::size_t HierarchicalFilter::storage_bytes() const {
   for (Position pos = lru_.front(); pos != kNil;
        pos = tenants_.value_at(pos).next) {
     const TenantEntry& entry = tenants_.value_at(pos);
-    total += entry.fine->storage_bytes();
+    total += fine_->storage_bytes(entry.fine);
     if (entry.digest.has_value()) {
       total += entry.digest->config().words() * 8;
     }
@@ -172,9 +173,9 @@ HierarchicalFilter::tenant_occupancies() {
   out.reserve(live_);
   for (Position pos = lru_.front(); pos != kNil;
        pos = tenants_.value_at(pos).next) {
-    TenantEntry& entry = tenants_.value_at(pos);
-    entry.fine->advance_time(clock_);
-    if (const std::optional<double> occ = entry.fine->occupancy_fraction()) {
+    const FilterPool::Slot slot = tenants_.value_at(pos).fine;
+    fine_->advance_time(slot, clock_);
+    if (const std::optional<double> occ = fine_->occupancy_fraction(slot)) {
       out.emplace_back(tenants_.key_at(pos), *occ);
     }
   }

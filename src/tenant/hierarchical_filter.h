@@ -1,11 +1,13 @@
 // Two-level multi-tenant filter: a shared coarse front filter (default
 // bitmap-blocked) absorbs the common-case inbound miss, and per-tenant
-// fine filters -- lazily instantiated through the FilterRegistry, so any
-// registered backend works as the fine tier -- give per-subscriber
-// verdicts and isolation. Live fine filters are LRU-capped; optional
-// per-tenant StateDigests support the inter-router exchange path. All
-// per-tenant state -- fine filter, digest, LRU links -- sits in one entry
-// of a flat TenantIndex, so a packet reaches it with one probe.
+// fine filters -- lazily instantiated from one FilterPool of the fine
+// spec, so any registered backend works as the fine tier -- give
+// per-subscriber verdicts and isolation. Live fine filters are
+// LRU-capped; optional per-tenant StateDigests support the inter-router
+// exchange path. All per-tenant bookkeeping -- the fine filter's pool
+// slot, digest, LRU links -- sits in one entry of a flat TenantIndex, so
+// a packet reaches it with one probe, and a bitmap-blocked fine tier's
+// bits one address computation later (filter/filter_pool.h).
 //
 // Verdict semantics (the differential contract tested against a flat
 // one-filter-per-tenant oracle):
@@ -35,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "filter/filter_pool.h"
 #include "filter/filter_registry.h"
 #include "filter/state_filter.h"
 #include "tenant/state_digest.h"
@@ -134,12 +137,12 @@ class HierarchicalFilter final : public StateFilter {
   using Position = FlatPosition;
   static constexpr Position kNil = kNilPosition;
 
-  /// One per tenant ever marked. A live entry holds a fine filter and is
-  /// linked into the LRU list; eviction drops the filter and the digest
-  /// and unlinks the entry, which stays in the index so the tenant still
-  /// counts as seen.
+  /// One per tenant ever marked. A live entry holds a fine filter's pool
+  /// slot and is linked into the LRU list; eviction releases the slot,
+  /// drops the digest and unlinks the entry, which stays in the index so
+  /// the tenant still counts as seen.
   struct TenantEntry {
-    std::unique_ptr<StateFilter> fine;
+    FilterPool::Slot fine = FilterPool::kNilSlot;
     std::optional<StateDigest> digest;
     Position prev = kNil;  // toward the most recently used end
     Position next = kNil;  // toward the least recently used end
@@ -158,11 +161,13 @@ class HierarchicalFilter final : public StateFilter {
   HierarchicalFilterConfig config_;
   TenantTable table_;
   std::unique_ptr<StateFilter> front_;
+  /// Every tenant's fine filter, one slot each.
+  std::unique_ptr<FilterPool> fine_;
   bool short_circuit_ = false;
   TenantIndex<TenantEntry> tenants_;
   // Front: most recently used; back: the next victim.
   PositionList<TenantIndex<TenantEntry>> lru_;
-  std::size_t live_ = 0;      // entries holding a fine filter
+  std::size_t live_ = 0;      // entries holding a fine slot
   std::unordered_map<TenantId, StateDigest> remote_;
   SimTime clock_;
   std::uint64_t instantiations_ = 0;

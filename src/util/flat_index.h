@@ -53,14 +53,20 @@ class FlatIndex {
     return pos == kAbsent ? nullptr : &values_[pos];
   }
 
-  /// The value of `key`, constructed from `args` when absent.
+  /// The value of `key`, constructed from `args` when absent. Only an
+  /// insertion grows the table; a hit leaves it as it is.
   template <typename... Args>
   Value& find_or_insert(const Key& key, Args&&... args) {
-    if (2 * (keys_.size() + 1) > slots_.size()) grow();
-    std::size_t s = home(key);
-    while (slots_[s].pos_plus_one != 0) {
-      if (slots_[s].key == key) return values_[slots_[s].pos_plus_one - 1];
-      s = (s + 1) & mask_;
+    std::size_t s = 0;
+    if (!slots_.empty()) {
+      for (s = home(key); slots_[s].pos_plus_one != 0; s = (s + 1) & mask_) {
+        if (slots_[s].key == key) return values_[slots_[s].pos_plus_one - 1];
+      }
+    }
+    if (2 * (keys_.size() + 1) > slots_.size()) {
+      grow();
+      s = home(key);
+      while (slots_[s].pos_plus_one != 0) s = (s + 1) & mask_;
     }
     if (keys_.size() >= kAbsent) {
       throw std::length_error("FlatIndex: too many keys");

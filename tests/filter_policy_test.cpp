@@ -60,7 +60,7 @@ TEST(ConstantDropPolicy, FixedProbability) {
 // ---------------- BandwidthMeter ----------------
 
 TEST(BandwidthMeter, SimpleRate) {
-  BandwidthMeter meter{Duration::sec(1.0), 10};
+  BandwidthMeter meter{Duration::sec(1.0)};
   // 125 KB in one second = 1 Mbps.
   for (int i = 0; i < 10; ++i) {
     meter.add(SimTime::from_sec(i * 0.1), 12'500);
@@ -69,7 +69,7 @@ TEST(BandwidthMeter, SimpleRate) {
 }
 
 TEST(BandwidthMeter, OldTrafficAges) {
-  BandwidthMeter meter{Duration::sec(1.0), 10};
+  BandwidthMeter meter{Duration::sec(1.0)};
   meter.add(SimTime::from_sec(0.0), 100'000);
   EXPECT_GT(meter.bits_per_sec(SimTime::from_sec(0.5)), 0.0);
   // After the window passes, the burst no longer counts.
@@ -77,7 +77,7 @@ TEST(BandwidthMeter, OldTrafficAges) {
 }
 
 TEST(BandwidthMeter, PartialAging) {
-  BandwidthMeter meter{Duration::sec(1.0), 10};
+  BandwidthMeter meter{Duration::sec(1.0)};
   meter.add(SimTime::from_sec(0.05), 1000);
   meter.add(SimTime::from_sec(0.95), 1000);
   // At t=1.04 the first slot (t in [0, 0.1)) has expired, the second has
@@ -87,14 +87,14 @@ TEST(BandwidthMeter, PartialAging) {
 }
 
 TEST(BandwidthMeter, LongGapZeroesEverything) {
-  BandwidthMeter meter{Duration::sec(1.0), 10};
+  BandwidthMeter meter{Duration::sec(1.0)};
   for (int i = 0; i < 100; ++i) meter.add(SimTime::from_sec(i * 0.01), 500);
   EXPECT_GT(meter.bits_per_sec(SimTime::from_sec(1.0)), 0.0);
   EXPECT_DOUBLE_EQ(meter.bits_per_sec(SimTime::from_sec(100.0)), 0.0);
 }
 
 TEST(BandwidthMeter, AccumulatesWithinSlot) {
-  BandwidthMeter meter{Duration::sec(1.0), 10};
+  BandwidthMeter meter{Duration::sec(1.0)};
   meter.add(SimTime::from_sec(0.01), 100);
   meter.add(SimTime::from_sec(0.02), 100);
   meter.add(SimTime::from_sec(0.03), 100);
@@ -102,10 +102,10 @@ TEST(BandwidthMeter, AccumulatesWithinSlot) {
 }
 
 TEST(BandwidthMeter, InvalidConfigThrows) {
-  EXPECT_THROW(BandwidthMeter(Duration::sec(0.0), 10), std::invalid_argument);
-  EXPECT_THROW(BandwidthMeter(Duration::sec(1.0), 0), std::invalid_argument);
-  // 1 s not divisible into 7 equal microsecond slots.
-  EXPECT_THROW(BandwidthMeter(Duration::usec(1'000'003), 7),
+  EXPECT_THROW(BandwidthMeter(Duration::sec(0.0)), std::invalid_argument);
+  // 1 000 003 us is not divisible into the ring's 10 equal microsecond
+  // slots.
+  EXPECT_THROW(BandwidthMeter(Duration::usec(1'000'003)),
                std::invalid_argument);
 }
 
@@ -115,7 +115,7 @@ TEST(BandwidthMeter, NegativeTimestampsUseFloorSlots) {
   // slot -- e.g. t=-0.05s truncates to slot 0 alongside t=+0.05s -- and
   // produces negative (out-of-range) array indexes in add(). With floor
   // semantics the window behaves identically on both sides of the origin.
-  BandwidthMeter meter{Duration::sec(1.0), 10};
+  BandwidthMeter meter{Duration::sec(1.0)};
   meter.add(SimTime::from_sec(-2.0), 100'000);
   // Still inside the 1 s window at t=-1.5...
   EXPECT_GT(meter.bits_per_sec(SimTime::from_sec(-1.5)), 0.0);
@@ -124,7 +124,7 @@ TEST(BandwidthMeter, NegativeTimestampsUseFloorSlots) {
 }
 
 TEST(BandwidthMeter, CrossOriginWindowAgesSlotBySlot) {
-  BandwidthMeter meter{Duration::sec(1.0), 10};
+  BandwidthMeter meter{Duration::sec(1.0)};
   meter.add(SimTime::from_sec(-0.55), 1000);  // slot [-0.6, -0.5)
   meter.add(SimTime::from_sec(-0.05), 1000);  // slot [-0.1, 0.0)
   // At t=0.04 both contributions are inside the window.
@@ -140,7 +140,7 @@ TEST(BandwidthMeter, RegressedTimestampsClampToHighWater) {
   // to rewind the window cursor, which could misattribute bytes to slots
   // already aged out or spuriously zero live slots. Regressions now clamp
   // to the high-water mark and are counted.
-  BandwidthMeter meter{Duration::sec(1.0), 10};
+  BandwidthMeter meter{Duration::sec(1.0)};
   meter.add(SimTime::from_sec(5.0), 1000);
   EXPECT_EQ(meter.clamp_events(), 0u);
 
@@ -162,7 +162,7 @@ TEST(BandwidthMeter, RegressedTimestampsClampToHighWater) {
 }
 
 TEST(BandwidthMeter, AdvanceAgesWithoutBooking) {
-  BandwidthMeter meter{Duration::sec(1.0), 10};
+  BandwidthMeter meter{Duration::sec(1.0)};
   meter.add(SimTime::from_sec(0.0), 1000);
   // Mid-window advance keeps the traffic; regressed advance is a silent
   // clamp; past-window advance decays everything out.
@@ -178,7 +178,7 @@ TEST(BandwidthMeter, AdvanceAgesWithoutBooking) {
 }
 
 TEST(BandwidthMeter, FirstCallNeverCountsAsClamp) {
-  BandwidthMeter meter{Duration::sec(1.0), 10};
+  BandwidthMeter meter{Duration::sec(1.0)};
   // Pre-origin first touch: nothing to clamp against yet.
   meter.add(SimTime::from_sec(-3.0), 100);
   EXPECT_EQ(meter.clamp_events(), 0u);
@@ -187,8 +187,8 @@ TEST(BandwidthMeter, FirstCallNeverCountsAsClamp) {
 TEST(BandwidthMeter, NegativeMirrorsPositiveBehaviour) {
   // The same offered pattern shifted by a whole number of windows must
   // yield the same estimates, whether it straddles the origin or not.
-  BandwidthMeter positive{Duration::sec(1.0), 10};
-  BandwidthMeter negative{Duration::sec(1.0), 10};
+  BandwidthMeter positive{Duration::sec(1.0)};
+  BandwidthMeter negative{Duration::sec(1.0)};
   const Duration shift = Duration::sec(5.0);
   for (int i = 0; i < 30; ++i) {
     const SimTime t = SimTime::from_sec(i * 0.1);
@@ -204,7 +204,7 @@ TEST(BandwidthMeter, NegativeMirrorsPositiveBehaviour) {
 }
 
 TEST(BandwidthMeter, SteadyStateMatchesOfferedLoad) {
-  BandwidthMeter meter{Duration::sec(2.0), 20};
+  BandwidthMeter meter{Duration::sec(2.0)};
   // Offer 8 Mbps for 10 seconds in 10 ms packets of 10 KB.
   for (int i = 0; i < 1000; ++i) {
     meter.add(SimTime::from_sec(i * 0.01), 10'000);

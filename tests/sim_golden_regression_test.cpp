@@ -219,6 +219,8 @@ struct PathRow {
   std::array<std::uint64_t, 4> series_totals;  // offered out/in, passed out/in
   std::size_t tenant_cap = 0;  // hierarchical --tenant-cap; 0 = default
   Duration blocklist_ttl{};    // 0 = the router default (120 s)
+  const char* fine = nullptr;  // hierarchical --fine; nullptr = default
+  unsigned fine_bits = 0;      // --bits of the fine tier; 0 = default (20)
 };
 
 std::string stats_text(const EdgeRouterStats& s) {
@@ -275,6 +277,8 @@ TEST_P(SimGoldenPaths, RouterPathMatchesLockedStats) {
   if (row.tenant_cap > 0) {
     args.set("tenant-cap", std::to_string(row.tenant_cap));
   }
+  if (row.fine != nullptr) args.set("fine", row.fine);
+  if (row.fine_bits > 0) args.set("bits", std::to_string(row.fine_bits));
   EdgeRouter router{config,
                     make_state_filter(
                         FilterRegistry::instance().parse(row.filter, args)),
@@ -344,7 +348,25 @@ INSTANTIATE_TEST_SUITE_P(
         PathRow{"bitmap-blocked", true, false, 0xc073712017085d31,
                 0x11528237f943a78f,
                 {49'864'846, 7'259'228, 47'240'101, 7'146'674}, 0,
-                Duration::sec(2.0)}));
+                Duration::sec(2.0)},
+        // The production fine tier and geometry (the benchmark's
+        // --tenants run: bitmap-blocked at 2^12 bits, 64 tenants to a
+        // pool chunk): sorted with the blocklist, reordered without it,
+        // and under a tenant cap of 16 so pool slots are released and
+        // reused. Verdicts match the default-tier rows above; the
+        // metrics differ in storage.
+        PathRow{"hierarchical", true, false, 0x686e6d9cc3e25be3,
+                0xf80beb09f70b5969,
+                {49'864'846, 7'259'228, 46'102'777, 7'119'783}, 0,
+                Duration{}, "bitmap-blocked", 12},
+        PathRow{"hierarchical", false, true, 0xa2406f612a11c0dd,
+                0x19cccc23a6f9e4e2,
+                {49'329'739, 7'166'131, 49'329'739, 7'160'438}, 0,
+                Duration{}, "bitmap-blocked", 12},
+        PathRow{"hierarchical", true, false, 0x90ad497db7ffb942,
+                0xd7efbdf65d6a16e3,
+                {49'864'846, 7'259'228, 34'768'432, 6'113'119}, 16,
+                Duration{}, "bitmap-blocked", 12}));
 
 TEST(SimGoldenRegression, ScalarAndBatchedBankAgreeExactly) {
   const GoldenMetrics batched = run_bank(/*batched=*/true);

@@ -127,8 +127,12 @@ FiveTuple client_conn(std::uint8_t host, std::uint16_t sport) {
                    Ipv4Addr{198, 18, 0, 1}, 6881};
 }
 
-TEST(HierarchicalFilter, LruCapEvictsLeastRecentTenant) {
-  HierarchicalFilter hier{config_for("bitmap", 2)};
+// Run for a boxed fine tier (bitmap) and for the native pool
+// (bitmap-blocked), where an eviction releases a pool slot and the
+// returning tenant takes it over, zeroed.
+void check_lru_cap_evicts_least_recent_tenant(const std::string& fine) {
+  SCOPED_TRACE(fine);
+  HierarchicalFilter hier{config_for(fine, 2)};
   for (std::uint8_t host = 2; host < 8; ++host) {
     hier.advance_time(SimTime::from_sec(host * 0.1));
     hier.record_outbound(udp(client_conn(host, 4000), host * 0.1));
@@ -156,6 +160,14 @@ TEST(HierarchicalFilter, LruCapEvictsLeastRecentTenant) {
   ASSERT_TRUE(fresh.has_value());
   EXPECT_FALSE(fresh->contains_inbound(client_conn(2, 4000).inverse()));
   EXPECT_TRUE(fresh->contains_inbound(client_conn(2, 4001).inverse()));
+  EXPECT_FALSE(hier.admits_inbound(udp(client_conn(2, 4000).inverse(), 1.0)));
+  EXPECT_TRUE(hier.admits_inbound(udp(client_conn(2, 4001).inverse(), 1.0)));
+  EXPECT_EQ(hier.fine_evictions(), 5u);
+}
+
+TEST(HierarchicalFilter, LruCapEvictsLeastRecentTenant) {
+  check_lru_cap_evicts_least_recent_tenant("bitmap");
+  check_lru_cap_evicts_least_recent_tenant("bitmap-blocked");
 }
 
 // Seeded LRU-order differential against a std::list reference model:

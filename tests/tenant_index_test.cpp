@@ -105,6 +105,26 @@ TEST(TenantIndex, ThrowingConstructorInsertsNothing) {
   }
 }
 
+// A hit never grows the table: the router's ledger, the analyzer's
+// connection table and every ExpirySet call find_or_insert per packet,
+// mostly for present keys. At exactly half full (8 keys in 16 slots)
+// finding a present key must leave the slot array as it is; the next new
+// key still doubles it.
+TEST(TenantIndex, HitOnAHalfFullTableDoesNotGrow) {
+  TenantIndex<int> index;
+  for (TenantId key = 0; key < 8; ++key) index.find_or_insert(key, 1);
+  ASSERT_EQ(index.slot_count(), 16u);
+  const std::size_t bytes = index.storage_bytes();
+  for (TenantId key = 0; key < 8; ++key) {
+    EXPECT_EQ(index.find_or_insert(key, 2), 1);
+  }
+  EXPECT_EQ(index.slot_count(), 16u);
+  EXPECT_EQ(index.storage_bytes(), bytes);
+  index.find_or_insert(8, 3);
+  EXPECT_EQ(index.slot_count(), 32u);
+  EXPECT_EQ(index.size(), 9u);
+}
+
 // Consecutive subscriber addresses (and /24 network ids, which step by
 // 256) must spread over the slots instead of forming one long cluster.
 TEST(TenantIndex, SequentialAddressesKeepProbesShort) {
